@@ -19,13 +19,14 @@ queries = [sp.pattern for sp in result.ranked]
 print(f"{len(queries)} queries; test graph has {data.test_graph.n_edges} edges "
       f"and {len(data.truth.entries)} true behavior executions")
 
-# Shard the search by time windows sized from the longest known execution;
-# matches that straddle shards dedupe away.
+# The window is the maximum instance duration in ticks (last - first edge
+# time).  Sized from the longest known execution, it only drops matches too
+# long to fit inside any true execution, so it cuts work, never recall.
 longest = max(end - start for _, start, end in data.truth.entries)
 started = time.monotonic()
 instances = []
 for q in queries:
-    instances.extend(find_instances(q, data.test_graph, window=2 * longest))
+    instances.extend(find_instances(q, data.test_graph, window=longest))
 print(f"search took {time.monotonic() - started:.2f}s, "
       f"{len(instances)} identified instances")
 
@@ -41,6 +42,6 @@ for max_edges in (1, 2, 3, 4, 5, 6):
     r = mine(data.positives, data.negatives, MiningConfig(max_edges=max_edges, top_k=5))
     inst = []
     for sp in r.ranked:
-        inst.extend(find_instances(sp.pattern, data.test_graph, window=2 * longest))
+        inst.extend(find_instances(sp.pattern, data.test_graph, window=longest))
     ev = evaluate({data.spec.behavior: inst}, data.truth)
     print(f"  {max_edges}: precision {ev.precision:.3f} recall {ev.recall:.3f}")

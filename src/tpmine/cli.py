@@ -115,12 +115,6 @@ def _cmd_match(args) -> int:
         print("error: no test graph in input", file=sys.stderr)
         return DATA_ERROR
     behavior = report.get("config", {}).get("behavior", "behavior")
-    if args.window is None and any(g.n_edges > 2000 for g in tests):
-        print(
-            "note: searching a large graph without --window; consider a window "
-            "around the longest expected behavior duration to bound the work",
-            file=sys.stderr,
-        )
     instances = []
     for qi, q in enumerate(queries):
         for g in tests:
@@ -204,9 +198,7 @@ def _cmd_verify(args) -> int:
     queries = datakit.report_queries(report)
     positives = datakit.load_dataset(args.pos, tie_policy=args.tie_policy)[0]
     negatives = datakit.load_dataset(args.neg, tie_policy=args.tie_policy)[1]
-    score = make_score_function(
-        report["config"]["score"]["name"], report["config"]["score"].get("epsilon", 1e-6)
-    )
+    score = datakit.score_fn_from_dict(report["config"]["score"])
     # Per-query frequency checks only need structural room for the actual
     # inputs; the exhaustive re-mining below keeps the tight default limits
     # so oversized instances fail loudly instead of running for days.
@@ -278,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="dataset file with test graphs")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--window", type=int, default=None,
-                   help="time-window shard length (e.g. the longest behavior duration)")
+                   help="maximum instance duration in ticks (last - first edge time)")
     p.add_argument("--tie-policy", default="reject", choices=["reject", "inputOrder"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_match)

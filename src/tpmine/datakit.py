@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 from .graphs import DuplicateTimestamp, TemporalEdge, TemporalGraph, TemporalPattern, validate
 from .matcher import GroundTruth
 from .miner import MiningConfig, MiningResult
-from .scoring import GTest, InfoGain, LogRatio, ScoreFunction, ScoredPattern
+from .scoring import GTest, InfoGain, LogRatio, ScoreFunction, ScoredPattern, make_score_function
 
 
 class ParseError(ValueError):
@@ -498,6 +498,13 @@ def _score_fn_to_dict(fn: ScoreFunction) -> dict:
     if isinstance(fn, InfoGain):
         out["posPrior"] = fn.pos_prior
     return out
+
+
+def score_fn_from_dict(d: dict) -> ScoreFunction:
+    """The score function a report's ``config.score`` describes; inverse of _score_fn_to_dict."""
+    fn = make_score_function(d["name"])
+    params = {"epsilon": "epsilon", "scale": "scale", "posPrior": "pos_prior"}
+    return replace(fn, **{attr: d[key] for key, attr in params.items() if key in d})
 
 
 def config_to_dict(cfg: MiningConfig) -> dict:

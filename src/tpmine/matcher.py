@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Embedding, TemporalGraph, TemporalPattern, verify_embedding
-from .sequences import DEFAULT_OPTIONS, SubgraphTestOptions, find_embeddings
+from .sequences import find_embeddings
 
 
 @dataclass(frozen=True)
@@ -69,57 +69,21 @@ def save_ground_truth(truth: GroundTruth, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _shards(g: TemporalGraph, window: int) -> Iterable[TemporalGraph]:
-    """Overlapping slices of length 2*window stepping by window.
-
-    Any match whose interval is at most ``window`` long lies entirely inside
-    at least one shard, so shard-level search plus deduplication finds the
-    same instances as a whole-graph search restricted to that duration.
-    """
-    if window < 1:
-        raise ValueError("shard window must be a positive number of ticks")
-    if not g.edges:
-        return
-    t0 = g.edges[0].t
-    t1 = g.edges[-1].t
-    start = t0
-    idx = 0
-    while start <= t1:
-        chunk = [e for e in g.edges if start <= e.t < start + 2 * window]
-        if chunk:
-            yield TemporalGraph(f"{g.id}#{idx}", g.labels, chunk)
-        idx += 1
-        start += window
-
-
 def find_instances(
     p: TemporalPattern,
     g: TemporalGraph,
     limit: Optional[int] = None,
     window: Optional[int] = None,
-    opts: SubgraphTestOptions = DEFAULT_OPTIONS,
 ) -> list[Instance]:
     """Distinct matches of one query in the test graph, as time-stamped instances.
 
-    With ``window`` set, the graph is searched in overlapping time shards
-    (bounding per-shard work); matches found in several shards collapse to
-    one instance.  Results are ordered by interval, then node image.
+    ``window`` is the maximum instance duration in ticks (last - first edge
+    time); None or 0 means no bound.  ``limit`` keeps the first ``limit``
+    matches in the chronological order of ``find_embeddings``.  Results are
+    ordered by interval, then node image, then edge times.
     """
-    seen: set[Embedding] = set()
-    out: list[Instance] = []
-    sources = _shards(g, window) if window else (g,)
-    for shard in sources:
-        room = None if limit is None else limit - len(out)
-        if room is not None and room <= 0:
-            break
-        for emb in find_embeddings(p, shard, limit=room, opts=opts):
-            if emb in seen:
-                continue
-            seen.add(emb)
-            out.append(Instance.from_embedding(emb))
-    out.sort(key=lambda inst: (inst.interval, inst.embedding.nodes))
-    if limit is not None:
-        out = out[:limit]
+    out = [Instance.from_embedding(emb) for emb in find_embeddings(p, g, limit=limit, window=window)]
+    out.sort(key=lambda inst: (inst.interval, inst.embedding.nodes, inst.embedding.times))
     return out
 
 

@@ -169,7 +169,7 @@ class _Session:
         truncated = set()
         for gid in neg_support:
             g = self.neg_by_id[gid]
-            embs = find_embeddings(pattern, g, limit=self.cfg.embedding_cap, opts=self.cfg.subgraph_opts)
+            embs = find_embeddings(pattern, g, limit=self.cfg.embedding_cap)
             if len(embs) >= self.cfg.embedding_cap:
                 truncated.add(gid)
             entries[gid] = embs
@@ -245,7 +245,6 @@ def mine(
                 session.registry,
                 session.fstar(),
                 mode=cfg.residual_check,
-                opts=cfg.subgraph_opts,
                 count_test=session.count_residual_test,
             )
             if hit is not None:

@@ -198,7 +198,6 @@ def subgraph_prune_check(
     registry: PatternRegistry,
     fstar: float,
     mode: str = "profile",
-    opts: SubgraphTestOptions = DEFAULT_OPTIONS,
     count_test: Optional[Callable[[], None]] = None,
 ) -> Optional[RegistryEntry]:
     """Find a fully explored pattern that makes g2's branch not worth searching.
@@ -226,7 +225,7 @@ def subgraph_prune_check(
             count_test()
         if not signatures_equivalent(sig2p, entry.sig_p, mode):
             continue
-        node_maps = {emb.nodes for emb in find_embeddings(g2, entry.pattern, opts=opts)}
+        node_maps = {emb.nodes for emb in find_embeddings(g2, entry.pattern)}
         if len(node_maps) != 1:
             continue
         image = set(next(iter(node_maps)))

@@ -13,12 +13,17 @@ Three independently toggleable heuristics speed up mapping enumeration
 without ever changing verdicts: a label-level subsequence pre-check, a local
 degree/neighbor-label filter, and memoization of exhausted partial-mapping
 prefixes.
+
+Enumerating every embedding instead walks the pattern edges in time order
+over per-graph edge indexes (``find_embeddings``, after Mackey et al.,
+arXiv:1801.08098).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import Embedding, TemporalGraph, TemporalPattern
 
@@ -111,12 +116,6 @@ class SubgraphTestOptions:
 DEFAULT_OPTIONS = SubgraphTestOptions()
 
 
-@dataclass
-class SearchStats:
-    mappings_tried: int = 0
-    edge_tests: int = 0
-
-
 def _local_compatible(p_prof, g_prof, pnode: int, dnode: int) -> bool:
     """Degree bounds plus incident-neighbor-label multiset containment.
 
@@ -155,26 +154,6 @@ def _greedy_edge_match(
             if i == n:
                 return positions
     return None
-
-
-def _all_edge_matches(
-    mapped: list[tuple[int, int]], data_pairs: tuple[tuple[int, int], ...]
-) -> Iterator[tuple[int, ...]]:
-    """Every strictly increasing position vector embedding mapped into data_pairs."""
-    n = len(mapped)
-
-    def rec(k: int, start: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if k == n:
-            yield tuple(acc)
-            return
-        want = mapped[k]
-        for pos in range(start, len(data_pairs) - (n - k) + 1):
-            if data_pairs[pos] == want:
-                acc.append(pos)
-                yield from rec(k + 1, pos + 1, acc)
-                acc.pop()
-
-    yield from rec(0, 0, [])
 
 
 def _label_views(g: TemporalGraph) -> tuple[list[str], list[str], list[tuple[str, str]]]:
@@ -272,7 +251,6 @@ def temporal_subgraph_test(
     p: TemporalPattern,
     g: TemporalGraph,
     opts: SubgraphTestOptions = DEFAULT_OPTIONS,
-    stats: Optional[SearchStats] = None,
 ) -> Optional[Embedding]:
     """Witness embedding if p is a temporal subgraph of g, else None."""
     if p.n_edges > g.n_edges or p.n_nodes > g.n_nodes:
@@ -286,9 +264,6 @@ def temporal_subgraph_test(
     found: list[Embedding] = []
 
     def try_mapping(fmap: dict[int, int]) -> bool:
-        if stats is not None:
-            stats.mappings_tried += 1
-            stats.edge_tests += 1
         mapped = [(fmap[s], fmap[d]) for s, d in p_esq.entries]
         positions = _greedy_edge_match(mapped, g_esq.entries)
         if positions is None:
@@ -302,36 +277,92 @@ def temporal_subgraph_test(
     return found[0] if found else None
 
 
+def _edge_index(g: TemporalGraph) -> tuple[dict, dict, dict]:
+    """Edge positions in time order, grouped by source, by destination and by node pair; cached."""
+    idx = g._cache.get("edge_index")
+    if idx is None:
+        idx = g._cache["edge_index"] = ({}, {}, {})
+        for pos, e in enumerate(g.edges):
+            for group, key in zip(idx, (e.src, e.dst, (e.src, e.dst))):
+                group.setdefault(key, []).append(pos)
+    return idx
+
+
 def find_embeddings(
     p: TemporalPattern,
     g: TemporalGraph,
     limit: Optional[int] = None,
-    opts: SubgraphTestOptions = DEFAULT_OPTIONS,
+    window: Optional[int] = None,
 ) -> list[Embedding]:
-    """All matches of p inside g (up to limit), via the subsequence engine.
+    """All matches of p inside g (up to limit), by indexed chronological search.
 
-    Distinct node mappings are enumerated as in the decision test; for each
-    mapping, every order-preserving placement of the induced edge sequence is
-    expanded into a full embedding.
+    Pattern edges are bound in time order, each to a later data edge taken
+    from the tightest index the node mapping so far allows (the node pair,
+    one mapped endpoint, or the label pair), starting past the previous
+    edge by bisection.  ``window`` bounds a match's duration, last minus
+    first edge time (None or 0: no bound).  Matches come out in
+    chronological order of their edge positions (by first edge, then
+    second, ...), and ``limit`` keeps the first ``limit`` of them.
     """
-    if p.n_edges > g.n_edges or p.n_nodes > g.n_nodes:
+    if window is not None and window < 0:
+        raise ValueError("window must be a non-negative number of ticks")
+    if limit is not None and limit < 1:
         return []
     if p.n_nodes == 0:
         return [Embedding((), ())]
-    if opts.label_sequence_test and not _label_precheck(p, g):
+    plabels = p.labels
+    pedges = [(e.src, e.dst) for e in p.edges]
+    by_label = g.label_pair_index()
+    if (p.n_edges > g.n_edges or p.n_nodes > g.n_nodes
+            or any((plabels[s], plabels[d]) not in by_label for s, d in pedges)):
         return []
-    _, p_esq, _ = encode(p)
-    _, g_esq, _ = encode(g)
+    by_src, by_dst, by_pair = _edge_index(g)
+    edges, times, glabels = g.edges, g.timestamps, g.labels
+    m = len(pedges)
+    fwd = [-1] * p.n_nodes  # data node per pattern node, -1 while unmapped
+    chosen = [0] * m  # data time per pattern edge
     out: list[Embedding] = []
 
-    def on_mapping(fmap: dict[int, int]) -> bool:
-        mapped = [(fmap[s], fmap[d]) for s, d in p_esq.entries]
-        nodes = tuple(fmap[i] for i in range(p.n_nodes))
-        for positions in _all_edge_matches(mapped, g_esq.entries):
-            out.append(Embedding(nodes, tuple(g.edges[pos].t for pos in positions)))
-            if limit is not None and len(out) >= limit:
+    def rec(k: int, after: int, horizon: float) -> bool:
+        ps, pd = pedges[k]
+        ds, dd = fwd[ps], fwd[pd]
+        if ds >= 0:
+            cands = by_pair.get((ds, dd), ()) if dd >= 0 else by_src.get(ds, ())
+        elif dd >= 0:
+            cands = by_dst.get(dd, ())
+        else:
+            cands = by_label[(plabels[ps], plabels[pd])]
+        loop = ps == pd
+        bind_dst = dd < 0 and not loop
+        for i in range(bisect_right(cands, after), len(cands)):
+            pos = cands[i]
+            t = times[pos]
+            if t > horizon:
+                break
+            src, dst = edges[pos].src, edges[pos].dst
+            if (src == dst) != loop:
+                continue
+            if ds < 0 and (src in fwd or glabels[src] != plabels[ps]):
+                continue
+            if bind_dst and (dst in fwd or glabels[dst] != plabels[pd]):
+                continue
+            if ds < 0:
+                fwd[ps] = src
+            if bind_dst:
+                fwd[pd] = dst
+            chosen[k] = t
+            if k + 1 == m:
+                out.append(Embedding(tuple(fwd), tuple(chosen)))
+                stop = limit is not None and len(out) >= limit
+            else:
+                stop = rec(k + 1, pos, t + window if k == 0 and window else horizon)
+            if ds < 0:
+                fwd[ps] = -1
+            if bind_dst:
+                fwd[pd] = -1
+            if stop:
                 return True
         return False
 
-    _search_mappings(p, g, opts, on_mapping)
+    rec(0, -1, float("inf"))
     return out

@@ -115,6 +115,21 @@ def test_mine_with_alternative_scores(workspace, tmp_path, score):
     assert report["patterns"]
 
 
+def test_verify_keeps_score_parameters(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["gen", "--preset", "small", "--out", str(data)]) == 0
+    report = tmp_path / "gtest.json"
+    assert main(["mine", "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg"),
+                 "--score", "gtest", "--gtest-scale", "5", "--max-edges", "4",
+                 "--out", str(report)]) == 0
+    capsys.readouterr()
+    code = main(["verify", "--report", str(report), "--pos", str(data / "pos.tg"),
+                 "--neg", str(data / "neg.tg")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0, lines
+    assert lines and all(line.endswith(" OK") for line in lines), lines
+
+
 def test_usage_error_exit_code():
     assert main(["mine", "--pos", "missing.tg"]) == 1  # missing required --neg/--out
 

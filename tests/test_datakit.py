@@ -9,17 +9,20 @@ from tpmine.datakit import (
     SpecInvalid,
     SyntheticSpec,
     TieRejected,
+    config_to_dict,
     dump_dataset,
     generate_synthetic,
     load_dataset,
     parse_dataset,
     preset_spec,
     replicate,
+    score_fn_from_dict,
     sequentialize_ties,
 )
 from tpmine.graphs import pattern_of, validate
 from tpmine.miner import MiningConfig, mine
 from tpmine.oracle import oracle_subgraph_test
+from tpmine.scoring import GTest, InfoGain, LogRatio
 from tpmine.sequences import temporal_subgraph_test
 
 from conftest import random_graph
@@ -212,3 +215,13 @@ class TestGenerator:
         data = generate_synthetic(spec, seed=1)
         with pytest.raises(EmptyDataset):
             mine(data.positives, data.negatives)
+
+
+class TestReportScore:
+    @pytest.mark.parametrize("fn", [LogRatio(epsilon=1e-3), GTest(epsilon=1e-4, scale=5.0),
+                                    InfoGain(pos_prior=0.3)])
+    def test_score_function_roundtrip(self, fn):
+        cfg = MiningConfig(score_fn=fn)
+        restored = score_fn_from_dict(config_to_dict(cfg)["score"])
+        assert restored == fn
+        assert restored.score(0.7, 0.2) == fn.score(0.7, 0.2)

@@ -74,6 +74,27 @@ class TestFindInstances:
         with pytest.raises(ValueError):
             find_instances(QUERY, g, window=-3)
 
+    def test_window_bounds_instance_duration(self):
+        # 15 ticks between the two edges: longer than a 10-tick window even
+        # though the match would fit inside a 2 x 10-tick slice of the stream.
+        g = validate("g", ["A", "B", "C"], [(0, 1, 1), (1, 2, 16)])
+        assert find_instances(QUERY, g, window=10) == []
+        out = find_instances(QUERY, g, window=15)
+        assert [inst.interval for inst in out] == [(1, 16)]
+
+    def test_limit_takes_a_prefix_of_the_unlimited_result(self):
+        g = validate(
+            "g",
+            ["A", "B", "C", "A", "B", "C"],
+            [(0, 1, 1), (3, 4, 2), (1, 2, 3), (4, 5, 4), (1, 2, 5), (4, 5, 6)],
+        )
+        every = find_instances(QUERY, g)
+        assert len(every) == 4
+        for k in range(len(every) + 2):
+            got = find_instances(QUERY, g, limit=k)
+            assert len(got) == min(k, len(every))
+            assert set(got) <= set(every)
+
 
 class TestEvaluate:
     def test_containment_is_correct(self):

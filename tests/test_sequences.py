@@ -6,7 +6,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpmine.graphs import canonical_pattern, validate, verify_embedding
+from tpmine.graphs import canonical_pattern, pattern_of, validate, verify_embedding
 from tpmine.oracle import oracle_embeddings, oracle_subgraph_test
 from tpmine.sequences import (
     SubgraphTestOptions,
@@ -212,6 +212,30 @@ class TestFindEmbeddings:
         p = canonical_pattern(["A", "B"], [(0, 1, 1)])
         assert len(find_embeddings(p, g)) == 3
         assert len(find_embeddings(p, g, limit=2)) == 2
+
+    def test_window_and_limit_against_oracle(self):
+        # Differential check of the chronological search: the whole set, the
+        # set under a duration window and a limited prefix, on graphs with
+        # and without self-loops.
+        rng = random.Random(43)
+        for case in range(200):
+            if case % 4 == 0:
+                n = rng.randint(2, 5)
+                edges = [(rng.randrange(n), rng.randrange(n), t) for t in range(1, rng.randint(2, 10))]
+                g = validate("loops", [rng.choice("AB") for _ in range(n)], edges, allow_self_loops=True)
+                p = pattern_of(validate("p", ["A", "A"], [(0, 0, 1), (0, 1, 2)], allow_self_loops=True),
+                               strict=False) if rng.random() < 0.3 else random_pattern(rng, max_edges=3, labels="AB")
+            else:
+                g = random_graph(rng, max_nodes=6, max_edges=10)
+                p = embedded_pattern(rng, g, max_edges=4) or random_pattern(rng, max_edges=4)
+            every = set(oracle_embeddings(p, g))
+            assert set(find_embeddings(p, g)) == every
+            window = rng.randint(0, 12)
+            within = {e for e in every if not window or e.times[-1] - e.times[0] <= window}
+            assert set(find_embeddings(p, g, window=window)) == within
+            limit = rng.randint(1, 4)
+            got = find_embeddings(p, g, limit=limit)
+            assert len(got) == min(limit, len(every)) and set(got) <= every
 
     def test_every_embedding_verifies(self):
         rng = random.Random(42)
