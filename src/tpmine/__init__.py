@@ -37,8 +37,6 @@ from .growth import (
     InvalidExtension,
     empty_pattern,
     empty_table,
-    enumerate_extensions,
-    extend_embeddings,
     grow,
 )
 from .pruning import (
@@ -62,7 +60,7 @@ from .scoring import (
     rank,
     score,
 )
-from .miner import ConfigInvalid, EmptyDataset, MiningConfig, MiningResult, MiningStats, frequency, mine
+from .miner import ConfigInvalid, EmptyDataset, MiningConfig, MiningResult, MiningStats, mine
 from .matcher import GroundTruth, Instance, evaluate, find_instances, load_ground_truth
 from .datakit import (
     ParseError,

@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--residual-check", default="profile", choices=["profile", "int"])
     p.add_argument("--blacklist", help="label blacklist file for interest ranking")
     p.add_argument("--behavior", default="behavior")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="recorded in the report; no effect on mining")
     p.add_argument("--tie-policy", default="reject", choices=["reject", "inputOrder"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mine)

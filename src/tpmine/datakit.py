@@ -34,8 +34,8 @@ from .scoring import GTest, InfoGain, LogRatio, ScoreFunction, ScoredPattern, ma
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: Optional[int] = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -501,8 +501,14 @@ def _score_fn_to_dict(fn: ScoreFunction) -> dict:
 
 
 def score_fn_from_dict(d: dict) -> ScoreFunction:
-    """The score function a report's ``config.score`` describes; inverse of _score_fn_to_dict."""
-    fn = make_score_function(d["name"])
+    """The score function a report's ``config.score`` describes; inverse of _score_fn_to_dict.
+
+    Raises ParseError for a score name the library does not know.
+    """
+    try:
+        fn = make_score_function(d["name"])
+    except ValueError as exc:
+        raise ParseError(f"report config.score: {exc}") from None
     params = {"epsilon": "epsilon", "scale": "scale", "posPrior": "pos_prior"}
     return replace(fn, **{attr: d[key] for key, attr in params.items() if key in d})
 

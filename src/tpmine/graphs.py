@@ -90,19 +90,26 @@ class TemporalGraph:
         ts = self.timestamps
         return len(ts) - bisect_right(ts, t)
 
-    def suffix_label_set(self, t: int) -> frozenset[str]:
-        """Labels on nodes incident to edges with timestamp > t (memoized)."""
-        start = bisect_right(self.timestamps, t)
-        memo = self._cache.setdefault("suffix_labels", {})
-        got = memo.get(start)
-        if got is None:
-            out = set()
-            for i in range(start, len(self.edges)):
-                e = self.edges[i]
-                out.add(self.labels[e.src])
-                out.add(self.labels[e.dst])
-            got = memo[start] = frozenset(out)
-        return got
+    def edge_index(self) -> tuple[dict, dict, dict]:
+        """Edge positions in time order, grouped by source, by destination and by node pair; cached."""
+        idx = self._cache.get("edge_index")
+        if idx is None:
+            idx = self._cache["edge_index"] = ({}, {}, {})
+            for pos, e in enumerate(self.edges):
+                for group, key in zip(idx, (e.src, e.dst, (e.src, e.dst))):
+                    group.setdefault(key, []).append(pos)
+        return idx
+
+    def last_label_positions(self) -> dict[str, int]:
+        """Per node label, the last edge position with an endpoint of that label (cached)."""
+        last = self._cache.get("last_label_positions")
+        if last is None:
+            last = {}
+            for pos, e in enumerate(self.edges):
+                last[self.labels[e.src]] = pos
+                last[self.labels[e.dst]] = pos
+            self._cache["last_label_positions"] = last
+        return last
 
     def label_pair_index(self) -> dict[tuple[str, str], list[int]]:
         """Edge positions grouped by (source label, destination label)."""
@@ -262,22 +269,20 @@ def is_t_connected(g: TemporalGraph) -> bool:
     return True
 
 
-def _patterns_equal_ops(p1: TemporalPattern, p2: TemporalPattern) -> tuple[Optional[Embedding], int]:
-    """Linear-scan pattern equality; returns (mapping, map-operation count).
+def patterns_equal(p1: TemporalPattern, p2: TemporalPattern) -> Optional[Embedding]:
+    """If the two patterns match, return the unique bijective node/time mapping.
 
-    Edges are matched by equal timestamp (pattern timestamps are 1..|E|, so
-    edge k of one pattern can only match edge k of the other), building the
-    node map incrementally and rejecting any non-one-to-one assignment.
+    Linear scan: edges are matched by equal timestamp (pattern timestamps
+    are 1..|E|, so edge k of one pattern can only match edge k of the
+    other), building the node map incrementally and rejecting any
+    non-one-to-one assignment.
     """
-    ops = 0
     if p1.n_edges != p2.n_edges or p1.n_nodes != p2.n_nodes:
-        return None, ops
+        return None
     fwd: dict[int, int] = {}
     rev: dict[int, int] = {}
 
     def bind(u: int, v: int) -> bool:
-        nonlocal ops
-        ops += 1
         got = fwd.get(u)
         if got is not None:
             return got == v
@@ -291,21 +296,15 @@ def _patterns_equal_ops(p1: TemporalPattern, p2: TemporalPattern) -> tuple[Optio
 
     for e1, e2 in zip(p1.edges, p2.edges):
         if e1.t != e2.t:
-            return None, ops
+            return None
         if not bind(e1.src, e2.src) or not bind(e1.dst, e2.dst):
-            return None, ops
+            return None
     if len(fwd) != p1.n_nodes:
         # Isolated nodes never occur in valid patterns, but guard anyway.
-        return None, ops
+        return None
     times = tuple(e.t for e in p2.edges)
     nodes = tuple(fwd[i] for i in range(p1.n_nodes))
-    return Embedding(nodes, times), ops
-
-
-def patterns_equal(p1: TemporalPattern, p2: TemporalPattern) -> Optional[Embedding]:
-    """If the two patterns match, return the unique bijective node/time mapping."""
-    emb, _ = _patterns_equal_ops(p1, p2)
-    return emb
+    return Embedding(nodes, times)
 
 
 def canonical_pattern(

@@ -15,7 +15,7 @@ pairwise interactions and exclude self-loops.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -27,6 +27,7 @@ class InvalidExtension(ValueError):
 
 
 _KIND_ORDER = {"seed": 0, "forward": 1, "backward": 2, "inward": 3}
+_KINDS = tuple(_KIND_ORDER)
 
 
 @dataclass(frozen=True)
@@ -87,44 +88,6 @@ def empty_table(graphs: Sequence[TemporalGraph]) -> EmbeddingTable:
     return EmbeddingTable({g.id: [Embedding((), ())] for g in graphs})
 
 
-def enumerate_extensions(
-    p: TemporalPattern,
-    table: EmbeddingTable,
-    graphs: Sequence[TemporalGraph],
-) -> list[Extension]:
-    """All distinct growth steps realizable from the stored embeddings.
-
-    For every embedding and every data edge strictly later than the
-    embedding's last matched timestamp, the edge is classified by which of
-    its endpoints the embedding already maps.  The empty pattern's
-    extensions are the distinct (source label, destination label) seeds.
-    """
-    out: set[Extension] = set()
-    for g in graphs:
-        embs = table.entries.get(g.id)
-        if not embs:
-            continue
-        ts = g.timestamps
-        for emb in embs:
-            inverse = {dn: i for i, dn in enumerate(emb.nodes)}
-            for pos in range(bisect_right(ts, emb.max_data_time), len(g.edges)):
-                e = g.edges[pos]
-                if e.src == e.dst:
-                    continue
-                si = inverse.get(e.src)
-                di = inverse.get(e.dst)
-                if si is None and di is None:
-                    if not emb.nodes:
-                        out.add(Extension("seed", src_label=g.labels[e.src], dst_label=g.labels[e.dst]))
-                elif si is not None and di is None:
-                    out.add(Extension("forward", src=si, dst_label=g.labels[e.dst]))
-                elif si is None and di is not None:
-                    out.add(Extension("backward", dst=di, src_label=g.labels[e.src]))
-                else:
-                    out.add(Extension("inward", src=si, dst=di))
-    return sorted(out, key=Extension.sort_key)
-
-
 def grow(p: TemporalPattern, x: Extension) -> TemporalPattern:
     """p plus one edge at pattern timestamp |E|+1; T-connected by construction.
 
@@ -165,6 +128,12 @@ def grow(p: TemporalPattern, x: Extension) -> TemporalPattern:
     return TemporalPattern(p.id, labels, p.edges + (edge,))
 
 
+def _extension(key: tuple) -> Extension:
+    """The Extension an expand bucket key stands for (-1 and "" mark unused fields)."""
+    kind, *fields = key
+    return Extension(_KINDS[kind], *(None if f == -1 or f == "" else f for f in fields))
+
+
 def expand(
     table: EmbeddingTable,
     graphs: Sequence[TemporalGraph],
@@ -172,127 +141,63 @@ def expand(
 ) -> dict[Extension, EmbeddingTable]:
     """All extensions and their child tables, from one pass over the embeddings.
 
-    Semantically identical to running enumerate_extensions followed by
-    extend_embeddings per extension, but every (embedding, later edge) pair
-    is classified exactly once, which is what makes deep searches affordable.
-    Keys come back in deterministic sort order.
+    Each later data edge touching an embedding's image, read from the
+    graph's per-node edge index, is classified once by which endpoints the
+    embedding maps.  One parent's children for one extension come from one
+    index list in edge order, as a plain scan would give them.  Buckets are
+    plain tuples ordered like ``Extension.sort_key``; keys come back in that
+    order, with one Extension built per distinct key.
     """
-    entries: dict[Extension, dict[str, list[Embedding]]] = {}
-    truncated: dict[Extension, set[str]] = {}
+    entries: dict[tuple, dict[str, list[Embedding]]] = {}
+    truncated: dict[tuple, set[str]] = {}
+
+    def add(key: tuple, gid: str, child: Embedding) -> None:
+        bucket = entries.get(key)
+        if bucket is None:
+            bucket = entries[key] = {}
+        out = bucket.get(gid)
+        if out is None:
+            out = bucket[gid] = []
+        if len(out) < cap:
+            out.append(child)
+        else:
+            truncated.setdefault(key, set()).add(gid)
+
     for g in graphs:
         parents = table.entries.get(g.id)
         if not parents:
             continue
-        ts = g.timestamps
-        labels = g.labels
-        edges = g.edges
-        parent_truncated = g.id in table.truncated
+        gid, ts, labels, edges = g.id, g.timestamps, g.labels, g.edges
+        by_src, by_dst, _ = g.edge_index()
         for emb in parents:
-            nodes = emb.nodes
-            times = emb.times
+            nodes, times = emb.nodes, emb.times
+            start = bisect_right(ts, emb.max_data_time)
+            if not nodes:
+                for e in edges[start:]:
+                    if e.src != e.dst:
+                        add((0, -1, -1, labels[e.src], labels[e.dst]), gid, Embedding((e.src, e.dst), (e.t,)))
+                continue
             inverse = {dn: i for i, dn in enumerate(nodes)}
-            for pos in range(bisect_right(ts, emb.max_data_time), len(edges)):
-                e = edges[pos]
-                if e.src == e.dst:
-                    continue
-                si = inverse.get(e.src)
-                di = inverse.get(e.dst)
-                if si is None and di is None:
-                    if nodes:
+            for i, v in enumerate(nodes):
+                out_edges = by_src.get(v, ())
+                for j in range(bisect_left(out_edges, start), len(out_edges)):
+                    e = edges[out_edges[j]]
+                    if e.dst == v:
                         continue
-                    ext = Extension("seed", src_label=labels[e.src], dst_label=labels[e.dst])
-                    child = Embedding((e.src, e.dst), (e.t,))
-                elif di is None:
-                    ext = Extension("forward", src=si, dst_label=labels[e.dst])
-                    child = Embedding(nodes + (e.dst,), times + (e.t,))
-                elif si is None:
-                    ext = Extension("backward", dst=di, src_label=labels[e.src])
-                    child = Embedding(nodes + (e.src,), times + (e.t,))
-                else:
-                    ext = Extension("inward", src=si, dst=di)
-                    child = Embedding(nodes, times + (e.t,))
-                bucket = entries.setdefault(ext, {})
-                out = bucket.get(g.id)
-                if out is None:
-                    out = bucket[g.id] = []
-                if len(out) < cap:
-                    out.append(child)
-                else:
-                    truncated.setdefault(ext, set()).add(g.id)
+                    di = inverse.get(e.dst)
+                    if di is None:
+                        add((1, i, -1, "", labels[e.dst]), gid, Embedding(nodes + (e.dst,), times + (e.t,)))
+                    else:
+                        add((3, i, di, "", ""), gid, Embedding(nodes, times + (e.t,)))
+                in_edges = by_dst.get(v, ())
+                for j in range(bisect_left(in_edges, start), len(in_edges)):
+                    e = edges[in_edges[j]]
+                    if e.src not in inverse:
+                        add((2, -1, i, labels[e.src], ""), gid, Embedding(nodes + (e.src,), times + (e.t,)))
     result: dict[Extension, EmbeddingTable] = {}
-    for ext in sorted(entries, key=Extension.sort_key):
-        bad = truncated.get(ext, set())
+    for key in sorted(entries):
+        bad = truncated.get(key, set())
         if table.truncated:
             bad = bad | set(table.truncated)
-        result[ext] = EmbeddingTable(entries[ext], frozenset(bad))
+        result[_extension(key)] = EmbeddingTable(entries[key], frozenset(bad))
     return result
-
-
-def extend_embeddings(
-    table: EmbeddingTable,
-    x: Extension,
-    graphs: Sequence[TemporalGraph],
-    cap: int = 10_000,
-) -> EmbeddingTable:
-    """Embedding table of the grown pattern, derived from the parent's table.
-
-    Each parent embedding spawns one child per data edge that realizes the
-    extension with a timestamp after the parent's last matched edge.  Lists
-    stop growing at ``cap`` per graph and are flagged truncated (parent
-    truncation is inherited).
-    """
-    entries: dict[str, list[Embedding]] = {}
-    truncated = set(table.truncated)
-    for g in graphs:
-        parents = table.entries.get(g.id)
-        if not parents:
-            continue
-        out: list[Embedding] = []
-        ts = g.timestamps
-        room = cap
-        full = False
-        for emb in parents:
-            if full:
-                break
-            nodes = emb.nodes
-            for pos in range(bisect_right(ts, emb.max_data_time), len(g.edges)):
-                e = g.edges[pos]
-                if e.src == e.dst:
-                    continue
-                if x.kind == "seed":
-                    if g.labels[e.src] == x.src_label and g.labels[e.dst] == x.dst_label:
-                        child = Embedding((e.src, e.dst), (e.t,))
-                    else:
-                        continue
-                elif x.kind == "forward":
-                    if (
-                        e.src == nodes[x.src]
-                        and g.labels[e.dst] == x.dst_label
-                        and e.dst not in nodes
-                    ):
-                        child = Embedding(nodes + (e.dst,), emb.times + (e.t,))
-                    else:
-                        continue
-                elif x.kind == "backward":
-                    if (
-                        e.dst == nodes[x.dst]
-                        and g.labels[e.src] == x.src_label
-                        and e.src not in nodes
-                    ):
-                        child = Embedding(nodes + (e.src,), emb.times + (e.t,))
-                    else:
-                        continue
-                else:  # inward
-                    if e.src == nodes[x.src] and e.dst == nodes[x.dst]:
-                        child = Embedding(nodes, emb.times + (e.t,))
-                    else:
-                        continue
-                if room <= 0:
-                    truncated.add(g.id)
-                    full = True
-                    break
-                out.append(child)
-                room -= 1
-        if out:
-            entries[g.id] = out
-    return EmbeddingTable(entries, frozenset(truncated))

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .graphs import Embedding, TemporalGraph, TemporalPattern, verify_embedding
+from .graphs import Embedding, TemporalGraph, TemporalPattern
 from .sequences import find_embeddings
 
 
@@ -157,12 +157,3 @@ def evaluate(
     else:
         macro_p = macro_r = 1.0
     return EvalReport(tuple(rows), macro_p, macro_r)
-
-
-def verify_instances(p: TemporalPattern, g: TemporalGraph, instances: Iterable[Instance]) -> bool:
-    """Re-check every instance independently against the pattern and graph."""
-    return all(
-        verify_embedding(p, g, inst.embedding)
-        and inst.interval == (min(inst.embedding.times), max(inst.embedding.times))
-        for inst in instances
-    )

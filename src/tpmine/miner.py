@@ -45,6 +45,12 @@ class ConfigInvalid(ValueError):
 
 @dataclass(frozen=True)
 class MiningConfig:
+    """Settings of one mining run.
+
+    ``seed`` is provenance only: it is written to the report and has no
+    effect on mining, which is deterministic.
+    """
+
     max_edges: int = 6
     top_k: int = 5
     score_fn: ScoreFunction = LogRatio()
@@ -94,13 +100,6 @@ class MiningResult:
     config: MiningConfig
 
 
-def frequency(table: EmbeddingTable, set_size: int) -> float:
-    """Fraction of graphs containing at least one embedding."""
-    if set_size <= 0:
-        raise ValueError("set_size must be positive")
-    return len(table.support_ids()) / set_size
-
-
 VisitHook = Callable[[TemporalPattern, Optional[TemporalPattern], float, Optional[float], str], None]
 
 
@@ -118,6 +117,7 @@ class _Session:
     def __init__(self, positives, negatives, cfg: MiningConfig, on_visit: Optional[VisitHook]):
         self.positives: list[TemporalGraph] = list(positives)
         self.negatives: list[TemporalGraph] = list(negatives)
+        self.pos_by_id = {g.id: g for g in self.positives}
         self.neg_by_id = {g.id: g for g in self.negatives}
         self.cfg = cfg
         self.on_visit = on_visit
@@ -141,9 +141,10 @@ class _Session:
     def count_residual_test(self) -> None:
         self.stats.residual_tests += 1
 
-    def subiso(self, p: TemporalPattern, g: TemporalGraph):
+    def subiso(self, p: TemporalPattern, g: TemporalGraph) -> bool:
+        """Does p occur in negative graph g?  First match of the indexed search."""
         self.stats.subiso_tests += 1
-        return temporal_subgraph_test(p, g, self.cfg.subgraph_opts)
+        return bool(find_embeddings(p, g, limit=1))
 
     def exact_support(self, pattern: TemporalPattern, table: EmbeddingTable) -> list[str]:
         """Positive graph ids containing the pattern; exact even under truncation.
@@ -156,8 +157,8 @@ class _Session:
         for gid in table.truncated:
             if gid in support:
                 continue
-            g = next(g for g in self.positives if g.id == gid)
-            witness = self.subiso(pattern, g)
+            self.stats.subiso_tests += 1
+            witness = temporal_subgraph_test(pattern, self.pos_by_id[gid], self.cfg.subgraph_opts)
             if witness is not None:
                 table.entries.setdefault(gid, []).append(witness)
                 support.add(gid)
@@ -180,7 +181,7 @@ class _Session:
         if entry.sig_n is not None:
             return entry.sig_n
         if entry.neg_support is None:
-            support = [g.id for g in self.negatives if self.subiso(entry.pattern, g) is not None]
+            support = [g.id for g in self.negatives if self.subiso(entry.pattern, g)]
             entry.neg_support = frozenset(support)
         entry.sig_n = self.neg_signature(entry.pattern, sorted(entry.neg_support))
         return entry.sig_n
@@ -259,7 +260,7 @@ def mine(
 
         neg_support = [
             gid for gid in parent_neg_support
-            if session.subiso(pattern, session.neg_by_id[gid]) is not None
+            if session.subiso(pattern, session.neg_by_id[gid])
         ]
         freq_n = len(neg_support) / n_neg
         s = fn.score(freq_p, freq_n)

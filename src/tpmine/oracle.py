@@ -1,8 +1,10 @@
 """Brute-force reference implementations for cross-checking the fast paths.
 
 Everything here is deliberately simple and slow: exhaustive backtracking for
-subgraph tests, edge-subset enumeration for pattern spaces, and full
-re-enumeration for residual comparisons.  These functions share no code with
+subgraph tests, edge-subset enumeration for pattern spaces, full
+re-enumeration for residual comparisons, and per-extension growth
+(``enumerate_extensions`` then ``extend_embeddings``) as the reference for
+``growth.expand``.  These functions share no code with
 the production search/matching paths so that agreement between the two is
 meaningful evidence of correctness.  Budgets fail loudly instead of
 degrading, so a passing test run implies full oracle coverage.
@@ -11,11 +13,13 @@ degrading, so a passing test run implies full oracle coverage.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Embedding, TemporalGraph, TemporalPattern
+from .growth import EmbeddingTable, Extension
 
 
 class BudgetExceeded(RuntimeError):
@@ -274,3 +278,111 @@ def oracle_residual_equal(
 ) -> bool:
     """Direct residual comparison: per-graph multisets of residual sizes must agree."""
     return oracle_residual_profile(g1, graphs, budget) == oracle_residual_profile(g2, graphs, budget)
+
+
+def enumerate_extensions(
+    p: TemporalPattern,
+    table: EmbeddingTable,
+    graphs: Sequence[TemporalGraph],
+) -> list[Extension]:
+    """All distinct growth steps realizable from the stored embeddings.
+
+    For every embedding and every data edge strictly later than the
+    embedding's last matched timestamp, the edge is classified by which of
+    its endpoints the embedding already maps.  The empty pattern's
+    extensions are the distinct (source label, destination label) seeds.
+    """
+    out: set[Extension] = set()
+    for g in graphs:
+        embs = table.entries.get(g.id)
+        if not embs:
+            continue
+        ts = g.timestamps
+        for emb in embs:
+            inverse = {dn: i for i, dn in enumerate(emb.nodes)}
+            for pos in range(bisect_right(ts, emb.max_data_time), len(g.edges)):
+                e = g.edges[pos]
+                if e.src == e.dst:
+                    continue
+                si = inverse.get(e.src)
+                di = inverse.get(e.dst)
+                if si is None and di is None:
+                    if not emb.nodes:
+                        out.add(Extension("seed", src_label=g.labels[e.src], dst_label=g.labels[e.dst]))
+                elif si is not None and di is None:
+                    out.add(Extension("forward", src=si, dst_label=g.labels[e.dst]))
+                elif si is None and di is not None:
+                    out.add(Extension("backward", dst=di, src_label=g.labels[e.src]))
+                else:
+                    out.add(Extension("inward", src=si, dst=di))
+    return sorted(out, key=Extension.sort_key)
+
+
+def extend_embeddings(
+    table: EmbeddingTable,
+    x: Extension,
+    graphs: Sequence[TemporalGraph],
+    cap: int = 10_000,
+) -> EmbeddingTable:
+    """Embedding table of the grown pattern, derived from the parent's table.
+
+    Each parent embedding spawns one child per data edge that realizes the
+    extension with a timestamp after the parent's last matched edge.  Lists
+    stop growing at ``cap`` per graph and are flagged truncated (parent
+    truncation is inherited).
+    """
+    entries: dict[str, list[Embedding]] = {}
+    truncated = set(table.truncated)
+    for g in graphs:
+        parents = table.entries.get(g.id)
+        if not parents:
+            continue
+        out: list[Embedding] = []
+        ts = g.timestamps
+        room = cap
+        full = False
+        for emb in parents:
+            if full:
+                break
+            nodes = emb.nodes
+            for pos in range(bisect_right(ts, emb.max_data_time), len(g.edges)):
+                e = g.edges[pos]
+                if e.src == e.dst:
+                    continue
+                if x.kind == "seed":
+                    if g.labels[e.src] == x.src_label and g.labels[e.dst] == x.dst_label:
+                        child = Embedding((e.src, e.dst), (e.t,))
+                    else:
+                        continue
+                elif x.kind == "forward":
+                    if (
+                        e.src == nodes[x.src]
+                        and g.labels[e.dst] == x.dst_label
+                        and e.dst not in nodes
+                    ):
+                        child = Embedding(nodes + (e.dst,), emb.times + (e.t,))
+                    else:
+                        continue
+                elif x.kind == "backward":
+                    if (
+                        e.dst == nodes[x.dst]
+                        and g.labels[e.src] == x.src_label
+                        and e.src not in nodes
+                    ):
+                        child = Embedding(nodes + (e.src,), emb.times + (e.t,))
+                    else:
+                        continue
+                else:  # inward
+                    if e.src == nodes[x.src] and e.dst == nodes[x.dst]:
+                        child = Embedding(nodes, emb.times + (e.t,))
+                    else:
+                        continue
+                if room <= 0:
+                    truncated.add(g.id)
+                    full = True
+                    break
+                out.append(child)
+                room -= 1
+        if out:
+            entries[g.id] = out
+    return EmbeddingTable(entries, frozenset(truncated))

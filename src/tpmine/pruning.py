@@ -17,7 +17,11 @@ pattern proves it cannot reach the current score threshold:
 
 - subgraph pruning: the current pattern is a temporal subgraph of an already
   fully explored pattern with identical positive residuals whose surplus
-  node labels never appear in the current pattern's residual label set;
+  node labels never appear in the current pattern's residual.  The residual
+  label set is never built: a signature keeps, per graph, where its longest
+  residual starts, and a surplus label occurs in that residual iff the
+  graph's last edge touching the label is at or after the start (a per-graph
+  index built once);
 - supergraph pruning: the current pattern is a temporal supergraph of an
   already fully explored pattern with the same node count and identical
   positive and negative residuals.
@@ -39,54 +43,47 @@ from .sequences import SubgraphTestOptions, DEFAULT_OPTIONS, find_embeddings, te
 
 
 @dataclass(frozen=True)
-class ResidualView:
-    """Residual of one embedding: what is left of the graph after its last edge."""
-
-    graph_id: str
-    cutoff: int
-    size: int
-    label_set: frozenset[str]
-
-
-@dataclass(frozen=True)
 class ResidualSignature:
     """Aggregated residual structure of a pattern over one graph set.
 
     ``i_value`` sums residual sizes over every embedding of every graph;
     ``profile`` keeps the per-graph sorted multisets the sum was built from;
-    ``label_union`` collects labels incident to residual edges.  ``exact``
-    is False when any embedding list was cap-truncated, in which case the
-    pruning rules refuse to use the signature.
+    ``starts`` pairs each graph holding an embedding with the edge position
+    where its longest residual starts (edge count minus the largest size),
+    which is all the surplus-label test reads.  ``exact`` is False when any
+    embedding list was cap-truncated, in which case the pruning rules refuse
+    to use the signature.
     """
 
     i_value: int
-    label_union: frozenset[str]
     profile: tuple[tuple[str, tuple[int, ...]], ...]
+    starts: tuple[tuple[TemporalGraph, int], ...]
     exact: bool = True
 
+    def residual_has_label(self, labels: Iterable[str]) -> bool:
+        """True iff a node with one of ``labels`` touches a residual edge of some graph.
 
-def residual_view(g: TemporalGraph, cutoff: int) -> ResidualView:
-    return ResidualView(g.id, cutoff, g.edges_after(cutoff), g.suffix_label_set(cutoff))
+        Later residuals nest inside a graph's longest one, which holds a
+        label iff the label's last edge position is at or after its start.
+        """
+        return any(g.last_label_positions().get(lab, -1) >= start
+                   for g, start in self.starts for lab in labels)
 
 
 def residual_signature(table: EmbeddingTable, graphs: Sequence[TemporalGraph]) -> ResidualSignature:
-    """Single pass over the embedding table; one residual per embedding.
-
-    The label union per graph equals the suffix label set at the smallest
-    cutoff, because residual edge sets at later cutoffs are nested inside it.
-    """
+    """Single pass over the embedding table; one residual per embedding."""
     total = 0
-    labels: set[str] = set()
     profile: list[tuple[str, tuple[int, ...]]] = []
+    starts: list[tuple[TemporalGraph, int]] = []
     for g in graphs:
         embs = table.entries.get(g.id)
         if not embs:
             continue
         sizes = sorted(g.edges_after(e.max_data_time) for e in embs)
         profile.append((g.id, tuple(sizes)))
+        starts.append((g, g.n_edges - sizes[-1]))
         total += sum(sizes)
-        labels |= g.suffix_label_set(min(e.max_data_time for e in embs))
-    return ResidualSignature(total, frozenset(labels), tuple(profile), exact=table.exact)
+    return ResidualSignature(total, tuple(profile), tuple(starts), exact=table.exact)
 
 
 def signatures_equivalent(a: ResidualSignature, b: ResidualSignature, mode: str = "profile") -> bool:
@@ -143,12 +140,7 @@ class PatternRegistry:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def add(
-        self,
-        pattern: TemporalPattern,
-        sig_p: ResidualSignature,
-        neg_support: Optional[frozenset[str]] = None,
-    ) -> Optional[RegistryEntry]:
+    def add(self, pattern: TemporalPattern, sig_p: ResidualSignature) -> Optional[RegistryEntry]:
         if len(self.entries) >= self.max_entries:
             return None
         entry = RegistryEntry(
@@ -158,7 +150,6 @@ class PatternRegistry:
             label_multiset=pattern.label_multiset(),
             sig_p=sig_p,
         )
-        entry.neg_support = neg_support
         self.entries.append(entry)
         self._by_ip.setdefault(sig_p.i_value, []).append(entry)
         return entry
@@ -178,9 +169,6 @@ class PatternRegistry:
 
     def candidates(self, i_value: int) -> Iterable[RegistryEntry]:
         return self._by_ip.get(i_value, ())
-
-    def all_entries(self) -> Iterable[RegistryEntry]:
-        return self.entries
 
 
 def _label_multiset_contains(big: tuple[str, ...], small: tuple[str, ...]) -> bool:
@@ -232,7 +220,7 @@ def subgraph_prune_check(
         surplus_labels = {
             entry.pattern.labels[v] for v in range(entry.n_nodes) if v not in image
         }
-        if surplus_labels & sig2p.label_union:
+        if sig2p.residual_has_label(surplus_labels):
             continue
         return entry
     return None

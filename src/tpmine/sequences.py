@@ -277,17 +277,6 @@ def temporal_subgraph_test(
     return found[0] if found else None
 
 
-def _edge_index(g: TemporalGraph) -> tuple[dict, dict, dict]:
-    """Edge positions in time order, grouped by source, by destination and by node pair; cached."""
-    idx = g._cache.get("edge_index")
-    if idx is None:
-        idx = g._cache["edge_index"] = ({}, {}, {})
-        for pos, e in enumerate(g.edges):
-            for group, key in zip(idx, (e.src, e.dst, (e.src, e.dst))):
-                group.setdefault(key, []).append(pos)
-    return idx
-
-
 def find_embeddings(
     p: TemporalPattern,
     g: TemporalGraph,
@@ -316,7 +305,7 @@ def find_embeddings(
     if (p.n_edges > g.n_edges or p.n_nodes > g.n_nodes
             or any((plabels[s], plabels[d]) not in by_label for s, d in pedges)):
         return []
-    by_src, by_dst, by_pair = _edge_index(g)
+    by_src, by_dst, by_pair = g.edge_index()
     edges, times, glabels = g.edges, g.timestamps, g.labels
     m = len(pedges)
     fwd = [-1] * p.n_nodes  # data node per pattern node, -1 while unmapped

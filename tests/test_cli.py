@@ -130,6 +130,22 @@ def test_verify_keeps_score_parameters(tmp_path, capsys):
     assert lines and all(line.endswith(" OK") for line in lines), lines
 
 
+def test_verify_unknown_score_is_data_error(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    report = tmp_path / "report.json"
+    assert main(["mine", "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg"),
+                 "--max-edges", "2", "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    doc["config"]["score"]["name"] = "bogus"
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["verify", "--report", str(report), "--pos", str(data / "pos.tg"),
+                 "--neg", str(data / "neg.tg")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "bogus" in err[0], err
+
+
 def test_usage_error_exit_code():
     assert main(["mine", "--pos", "missing.tg"]) == 1  # missing required --neg/--out
 

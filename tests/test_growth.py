@@ -10,12 +10,15 @@ from tpmine.growth import (
     InvalidExtension,
     empty_pattern,
     empty_table,
-    enumerate_extensions,
     expand,
-    extend_embeddings,
     grow,
 )
-from tpmine.oracle import oracle_embeddings, oracle_enumerate_patterns
+from tpmine.oracle import (
+    enumerate_extensions,
+    extend_embeddings,
+    oracle_embeddings,
+    oracle_enumerate_patterns,
+)
 
 from conftest import random_graph
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tpmine.graphs import canonical_pattern, validate
+from tpmine.graphs import canonical_pattern, validate, verify_embedding
 from tpmine.matcher import (
     GroundTruth,
     Instance,
@@ -10,9 +10,16 @@ from tpmine.matcher import (
     find_instances,
     load_ground_truth,
     save_ground_truth,
-    verify_instances,
 )
 
+
+def verify_instances(p, g, instances) -> bool:
+    """Re-check every instance independently against the pattern and graph."""
+    return all(
+        verify_embedding(p, g, inst.embedding)
+        and inst.interval == (min(inst.embedding.times), max(inst.embedding.times))
+        for inst in instances
+    )
 
 
 def episodes_graph(k: int, gap: int = 50):

@@ -7,11 +7,18 @@ import pytest
 from tpmine.datakit import result_to_dict
 from tpmine.graphs import validate
 from tpmine.growth import EmbeddingTable
-from tpmine.miner import ConfigInvalid, EmptyDataset, MiningConfig, frequency, mine
+from tpmine.miner import ConfigInvalid, EmptyDataset, MiningConfig, mine
 from tpmine.oracle import oracle_best_score
 from tpmine.scoring import LogRatio
 
 from conftest import desk_instance
+
+
+def frequency(table: EmbeddingTable, set_size: int) -> float:
+    """Fraction of graphs containing at least one embedding, as the miner counts support."""
+    if set_size <= 0:
+        raise ValueError("set_size must be positive")
+    return len(table.support_ids()) / set_size
 
 
 class TestFrequency:
@@ -123,6 +130,32 @@ class TestTruncationSemantics:
         for pattern, freq_p, freq_n in seen:
             assert freq_p == pytest.approx(oracle_frequency(pattern, positives))
             assert freq_n == pytest.approx(oracle_frequency(pattern, negatives))
+
+
+    def test_ranked_frequencies_exact_with_cap_one(self, monkeypatch):
+        # Cap 1 truncates almost every positive list, so support of children
+        # rests on the direct re-check of truncated graphs; negatives go
+        # through the first-match search.  Both must agree with the oracle.
+        from tpmine import miner
+        from tpmine.oracle import oracle_frequency
+
+        witnesses = []
+
+        def recheck(p, g, opts):
+            witness = real(p, g, opts)
+            witnesses.append(witness)
+            return witness
+
+        real = miner.temporal_subgraph_test
+        monkeypatch.setattr(miner, "temporal_subgraph_test", recheck)
+        for seed in range(6):
+            positives, negatives = desk_instance(seed)
+            result = mine(positives, negatives, MiningConfig(max_edges=3, top_k=5, embedding_cap=1))
+            assert result.ranked
+            for sp in result.ranked:
+                assert sp.freq_p == pytest.approx(oracle_frequency(sp.pattern, positives))
+                assert sp.freq_n == pytest.approx(oracle_frequency(sp.pattern, negatives))
+        assert any(w is not None for w in witnesses)
 
 
 class TestScoreVariantsEndToEnd:

@@ -1,7 +1,9 @@
 """Residual signatures, signature equivalence, and the two branch-pruning rules."""
 
+import dataclasses
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -13,7 +15,6 @@ from tpmine.pruning import (
     PatternRegistry,
     ResidualSignature,
     residual_signature,
-    residual_view,
     score_upper_bound,
     signatures_equivalent,
     subgraph_prune_check,
@@ -30,6 +31,28 @@ INF = float("inf")
 def sig_of(p, graphs) -> ResidualSignature:
     table = EmbeddingTable({g.id: find_embeddings(p, g) for g in graphs})
     return residual_signature(table, graphs)
+
+
+@dataclasses.dataclass(frozen=True)
+class ResidualView:
+    """Residual of one embedding: what is left of the graph after its last edge."""
+
+    graph_id: str
+    cutoff: int
+    size: int
+    label_set: frozenset
+
+
+def label_union(sig: ResidualSignature) -> frozenset:
+    """Every label on a node incident to a residual edge of the signature's graphs."""
+    return frozenset(lab for g, start in sig.starts
+                     for lab, last in g.last_label_positions().items() if last >= start)
+
+
+def residual_view(g, cutoff: int) -> ResidualView:
+    start = bisect_right(g.timestamps, cutoff)
+    labels = frozenset(lab for lab, last in g.last_label_positions().items() if last >= start)
+    return ResidualView(g.id, cutoff, g.edges_after(cutoff), labels)
 
 
 class TestResidualSignature:
@@ -68,7 +91,7 @@ class TestResidualSignature:
         g = validate("g", ["A", "B", "C", "D"], [(0, 1, 1), (1, 2, 2), (2, 3, 3)])
         p = canonical_pattern(["A", "B"], [(0, 1, 1)])
         sig = sig_of(p, [g])
-        assert sig.label_union == {"B", "C", "D"}
+        assert label_union(sig) == {"B", "C", "D"}
 
     def test_residual_view_of_single_cutoff(self):
         g = validate("g", ["A", "B", "C", "D"], [(0, 1, 1), (1, 2, 2), (2, 3, 3)])
@@ -77,6 +100,41 @@ class TestResidualSignature:
         assert view.size == 2
         assert view.label_set == {"B", "C", "D"}
         assert residual_view(g, cutoff=3).size == 0
+
+    def test_surplus_label_test_matches_label_union(self):
+        # The on-demand test (last label position against the longest
+        # residual's start) gives the verdict of intersecting the surplus
+        # labels with the residual label union, built here from the edges
+        # later than each graph's earliest embedding cutoff.
+        rng = random.Random(5)
+        checked = hits = 0
+        while checked < 300:
+            graphs = []
+            for i in range(rng.randint(1, 3)):
+                if rng.random() < 0.3:
+                    n = rng.randint(2, 5)
+                    edges = [(rng.randrange(n), rng.randrange(n), t) for t in range(1, rng.randint(2, 10))]
+                    graphs.append(validate(f"l{i}", [rng.choice("ABCD") for _ in range(n)], edges,
+                                           allow_self_loops=True))
+                else:
+                    graphs.append(random_graph(rng, max_nodes=6, max_edges=10, graph_id=f"g{i}"))
+            p = embedded_pattern(rng, graphs[0], max_edges=3)
+            if p is None:
+                continue
+            table = EmbeddingTable({g.id: find_embeddings(p, g) for g in graphs})
+            sig = residual_signature(table, graphs)
+            union = set()
+            for g in graphs:
+                if table.entries[g.id]:
+                    cutoff = min(e.max_data_time for e in table.entries[g.id])
+                    union |= {g.labels[v] for e in g.edges if e.t > cutoff for v in (e.src, e.dst)}
+            assert label_union(sig) == union
+            for _ in range(5):
+                surplus = set(rng.sample("ABCDE", rng.randint(1, 3)))
+                assert sig.residual_has_label(surplus) == bool(surplus & union)
+                hits += bool(surplus & union)
+            checked += 1
+        assert 0 < hits < 1500
 
     def test_inexact_when_truncated(self):
         g = validate("g", ["A", "B"], [(0, 1, 1), (0, 1, 2)])
@@ -179,7 +237,7 @@ class TestSubgraphPruneCheck:
         entry = registry.add(chain, sig_of(chain, pos))
         registry.finalize(entry, branch_max=0.0)
         sig2 = sig_of(g2, pos)
-        assert "A" in sig2.label_union
+        assert "A" in label_union(sig2)
         assert subgraph_prune_check(g2, sig2, registry, fstar=10.0) is None
 
     def test_requires_finalized_and_below_threshold(self):
@@ -201,7 +259,7 @@ class TestSubgraphPruneCheck:
         registry = PatternRegistry()
         registry.finalize(registry.add(chain, sig_of(chain, pos)), 0.0)
         sig2 = sig_of(g2, pos)
-        inexact = ResidualSignature(sig2.i_value, sig2.label_union, sig2.profile, exact=False)
+        inexact = dataclasses.replace(sig2, exact=False)
         assert subgraph_prune_check(g2, inexact, registry, INF) is None
 
     def test_mining_fire_preserves_exact_result(self):
@@ -384,7 +442,7 @@ class TestRegistry:
                 registry.finalize(entry, branch_max=rng.uniform(-1, 1))
 
         def exhaustive_subgraph_check(g2, sig2, fstar):
-            for entry in registry.all_entries():
+            for entry in registry.entries:
                 bucket_match = entry.sig_p.i_value == sig2.i_value
                 full = PatternRegistry()
                 full._by_ip = {sig2.i_value: [entry]} if bucket_match else {}

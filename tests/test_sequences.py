@@ -237,6 +237,28 @@ class TestFindEmbeddings:
             got = find_embeddings(p, g, limit=limit)
             assert len(got) == min(limit, len(every)) and set(got) <= every
 
+    def test_first_match_existence_agrees_with_subgraph_test(self):
+        # The miner answers "does p occur in g?" for negatives with the first
+        # match of the indexed search; it must give the sequence-based test's
+        # and the oracle's verdict, also on graphs with self-loops.
+        rng = random.Random(44)
+        found = 0
+        for case in range(500):
+            if case % 3 == 0:
+                n = rng.randint(2, 5)
+                edges = [(rng.randrange(n), rng.randrange(n), t) for t in range(1, rng.randint(2, 10))]
+                g = validate("loops", [rng.choice("AB") for _ in range(n)], edges, allow_self_loops=True)
+                p = embedded_pattern(rng, g, max_edges=3) or random_pattern(rng, max_edges=3, labels="AB")
+            else:
+                g = random_graph(rng, max_nodes=6, max_edges=10)
+                p = embedded_pattern(rng, g, max_edges=4) if rng.random() < 0.5 else None
+                p = p or random_pattern(rng, max_edges=4)
+            exists = bool(find_embeddings(p, g, limit=1))
+            assert exists == (temporal_subgraph_test(p, g) is not None)
+            assert exists == (oracle_subgraph_test(p, g) is not None)
+            found += exists
+        assert 0 < found < 500
+
     def test_every_embedding_verifies(self):
         rng = random.Random(42)
         for _ in range(100):
