@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import datakit, matcher, oracle
@@ -29,36 +30,30 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 
 
+# spec-file key (camelCase) -> SyntheticSpec field
+_SPEC_FIELDS = {re.sub(r"_(.)", lambda m: m[1].upper(), f.name): f.name
+                for f in fields(datakit.SyntheticSpec)}
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _cmd_gen(args) -> int:
     spec = datakit.preset_spec(args.preset)
     overrides = {}
     if args.spec:
         overrides = json.loads(Path(args.spec).read_text())
-        field_map = {
-            "nPositive": "n_positive",
-            "nNegative": "n_negative",
-            "nodes": "nodes",
-            "edges": "edges",
-            "nLabels": "n_labels",
-            "zipfS": "zipf_s",
-            "plantedEdges": "planted_edges",
-            "plantedLabels": "planted_labels",
-            "plantedSharedNodes": "planted_shared_nodes",
-            "nTemplates": "n_templates",
-            "templateEdgesLo": "template_edges_lo",
-            "templateEdgesHi": "template_edges_hi",
-            "templatePresence": "template_presence",
-            "testEpisodes": "test_episodes",
-            "testSegmentEdges": "test_segment_edges",
-            "behavior": "behavior",
-        }
         translated = {}
         for key, value in overrides.items():
-            if key not in field_map:
+            if key not in _SPEC_FIELDS:
                 raise datakit.SpecInvalid(f"unknown spec field {key!r}")
             if key == "plantedLabels" and value is not None:
                 value = tuple(value)
-            translated[field_map[key]] = value
+            translated[_SPEC_FIELDS[key]] = value
         spec = replace(spec, **translated).validated()
     data = datakit.generate_synthetic(spec, seed=args.seed)
     out = Path(args.out)
@@ -269,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True, help="mining report JSON")
     p.add_argument("--graph", required=True, help="dataset file with test graphs")
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--window", type=int, default=None,
+    p.add_argument("--window", type=_non_negative_int, default=None,
                    help="maximum instance duration in ticks (last - first edge time)")
     p.add_argument("--tie-policy", default="reject", choices=["reject", "inputOrder"])
     p.add_argument("--out", required=True)
@@ -307,7 +302,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (GraphError, datakit.ParseError, datakit.SpecInvalid, EmptyDataset, ConfigInvalid,
-            oracle.BudgetExceeded, FileNotFoundError, json.JSONDecodeError) as exc:
+            matcher.TruthInvalid, oracle.BudgetExceeded, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

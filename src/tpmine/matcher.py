@@ -50,6 +50,10 @@ class GroundTruth:
         return out
 
 
+class TruthInvalid(ValueError):
+    """A ground-truth file line that does not parse or has start > end."""
+
+
 def load_ground_truth(path: str | Path) -> GroundTruth:
     """Parse lines of the form ``behavior <name> <start> <end>``."""
     entries = []
@@ -58,8 +62,12 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 4 or parts[0] != "behavior":
-            raise ValueError(f"{path}:{lineno}: expected 'behavior <name> <start> <end>'")
+        try:
+            if len(parts) != 4 or parts[0] != "behavior" or int(parts[2]) > int(parts[3]):
+                raise ValueError
+        except ValueError:
+            raise TruthInvalid(f"{path}:{lineno}: expected 'behavior <name> <start> <end>' "
+                               "with integers start <= end") from None
         entries.append((parts[1], int(parts[2]), int(parts[3])))
     return GroundTruth(tuple(entries))
 

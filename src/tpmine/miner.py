@@ -18,9 +18,9 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .graphs import TemporalGraph, TemporalPattern
+from .graphs import Embedding, TemporalGraph, TemporalPattern
 from .growth import EmbeddingTable, empty_pattern, empty_table, expand, grow
 from .pruning import (
     PatternRegistry,
@@ -32,7 +32,8 @@ from .pruning import (
     supergraph_prune_check,
 )
 from .scoring import InterestModel, LogRatio, ScoreFunction, ScoredPattern, rank
-from .sequences import DEFAULT_OPTIONS, SubgraphTestOptions, find_embeddings, temporal_subgraph_test
+# temporal_subgraph_test is not called: bench/tracing.py patches the name for --trace 1
+from .sequences import find_embeddings, temporal_subgraph_test  # noqa: F401
 
 
 class EmptyDataset(ValueError):
@@ -60,7 +61,6 @@ class MiningConfig:
     embedding_cap: int = 10_000
     min_freq_p: float = 0.0
     residual_check: str = "profile"
-    subgraph_opts: SubgraphTestOptions = DEFAULT_OPTIONS
     blacklist: frozenset[str] = frozenset()
     registry_max_entries: int = 2**20
     behavior: str = "behavior"
@@ -141,28 +141,34 @@ class _Session:
     def count_residual_test(self) -> None:
         self.stats.residual_tests += 1
 
-    def subiso(self, p: TemporalPattern, g: TemporalGraph) -> bool:
-        """Does p occur in negative graph g?  First match of the indexed search."""
+    def first_match(self, p: TemporalPattern, g: TemporalGraph) -> Optional[Embedding]:
+        """Chronologically first match of p in g, or None; counts one subgraph test."""
         self.stats.subiso_tests += 1
-        return bool(find_embeddings(p, g, limit=1))
+        found = find_embeddings(p, g, limit=1)
+        return found[0] if found else None
 
-    def exact_support(self, pattern: TemporalPattern, table: EmbeddingTable) -> list[str]:
-        """Positive graph ids containing the pattern; exact even under truncation.
+    def exact_support(self, pattern: TemporalPattern, table: EmbeddingTable) -> int:
+        """Number of positive graphs containing the pattern; exact even under truncation.
 
         A graph whose parent list was truncated may lose all stored children
         while still containing the pattern, so absence there is re-checked
-        with a direct subgraph test and a found witness is kept.
+        with a first-match search and a found witness is kept.
         """
-        support = set(table.support_ids())
         for gid in table.truncated:
-            if gid in support:
+            if not table.entries.get(gid):
+                witness = self.first_match(pattern, self.pos_by_id[gid])
+                if witness is not None:
+                    table.entries[gid] = [witness]
+        return len(table.support_ids())
+
+    def children(self, pattern: TemporalPattern, table: EmbeddingTable) -> Iterator[tuple]:
+        """(child, child table, freq_p) per one-edge growth that meets the support floor."""
+        for ext, child_table in expand(table, self.positives, self.cfg.embedding_cap).items():
+            child = grow(pattern, ext)
+            freq_p = self.exact_support(child, child_table) / len(self.positives)
+            if freq_p == 0.0 or freq_p < self.cfg.min_freq_p:
                 continue
-            self.stats.subiso_tests += 1
-            witness = temporal_subgraph_test(pattern, self.pos_by_id[gid], self.cfg.subgraph_opts)
-            if witness is not None:
-                table.entries.setdefault(gid, []).append(witness)
-                support.add(gid)
-        return [g.id for g in self.positives if g.id in support]
+            yield child, child_table, freq_p
 
     def neg_signature(self, pattern: TemporalPattern, neg_support: Sequence[str]) -> ResidualSignature:
         """Full negative-side signature, enumerated on demand."""
@@ -181,7 +187,7 @@ class _Session:
         if entry.sig_n is not None:
             return entry.sig_n
         if entry.neg_support is None:
-            support = [g.id for g in self.negatives if self.subiso(entry.pattern, g)]
+            support = [g.id for g in self.negatives if self.first_match(entry.pattern, g) is not None]
             entry.neg_support = frozenset(support)
         entry.sig_n = self.neg_signature(entry.pattern, sorted(entry.neg_support))
         return entry.sig_n
@@ -206,7 +212,6 @@ def mine(
     _check_dataset(negatives, "negative")
     started = time.monotonic()
     session = _Session(positives, negatives, cfg, on_visit)
-    n_pos = len(session.positives)
     n_neg = len(session.negatives)
     fn = cfg.score_fn
 
@@ -260,7 +265,7 @@ def mine(
 
         neg_support = [
             gid for gid in parent_neg_support
-            if session.subiso(pattern, session.neg_by_id[gid])
+            if session.first_match(pattern, session.neg_by_id[gid]) is not None
         ]
         freq_n = len(neg_support) / n_neg
         s = fn.score(freq_p, freq_n)
@@ -279,7 +284,6 @@ def mine(
                 session.fstar(),
                 mode=cfg.residual_check,
                 sig_n_of=session.entry_neg_signature,
-                opts=cfg.subgraph_opts,
                 count_test=session.count_residual_test,
             )
             if hit is not None:
@@ -296,11 +300,7 @@ def mine(
         branch_max = s
         reach = pattern.n_edges
         if pattern.n_edges < cfg.max_edges:
-            for ext, child_table in expand(table, session.positives, cfg.embedding_cap).items():
-                child = grow(pattern, ext)
-                child_freq_p = len(session.exact_support(child, child_table)) / n_pos
-                if child_freq_p == 0.0 or child_freq_p < cfg.min_freq_p:
-                    continue
+            for child, child_table, child_freq_p in session.children(pattern, table):
                 child_max, child_reach = visit(child, child_table, pattern, neg_support, child_freq_p)
                 branch_max = max(branch_max, child_max)
                 reach = max(reach, child_reach)
@@ -308,27 +308,17 @@ def mine(
             session.registry.finalize(entry, branch_max, depth_complete=reach < cfg.max_edges)
         return branch_max, reach
 
-    root = empty_pattern()
-    root_table = empty_table(session.positives)
     all_neg_ids = [g.id for g in session.negatives]
-    for ext, seed_table in expand(root_table, session.positives, cfg.embedding_cap).items():
-        seedling = grow(root, ext)
-        freq_p = len(session.exact_support(seedling, seed_table)) / n_pos
-        if freq_p == 0.0 or freq_p < cfg.min_freq_p:
-            continue
+    for seedling, seed_table, freq_p in session.children(empty_pattern(), empty_table(session.positives)):
         visit(seedling, seed_table, None, all_neg_ids, freq_p)
 
     model = InterestModel.from_graphs(
         list(session.positives) + list(session.negatives), cfg.blacklist
     )
     ranked = rank(session.scored, model, cfg.top_k)
-    if session.scored:
-        max_score = max(s for _, s, _, _ in session.scored)
-        maximizer_entries = [e for e in session.scored if abs(e[1] - max_score) <= 1e-12]
-        maximizers = rank(maximizer_entries, model, len(maximizer_entries))
-    else:
-        max_score = float("-inf")
-        maximizers = []
+    max_score = max((s for _, s, _, _ in session.scored), default=float("-inf"))
+    maximizer_entries = [e for e in session.scored if abs(e[1] - max_score) <= 1e-12]
+    maximizers = rank(maximizer_entries, model, len(maximizer_entries))
     session.stats.wall_time = time.monotonic() - started
     return MiningResult(
         ranked=ranked,

@@ -110,10 +110,10 @@ class SubgraphTestOptions:
     label_sequence_test: bool = True
     local_info: bool = True
     prefix_pruning: bool = True
-    memo_cap: int = 1_048_576
 
 
 DEFAULT_OPTIONS = SubgraphTestOptions()
+_MEMO_CAP = 1_048_576  # exhausted prefixes kept per search; bounds memory, never a verdict
 
 
 def _local_compatible(p_prof, g_prof, pnode: int, dnode: int) -> bool:
@@ -240,7 +240,7 @@ def _search_mappings(
             used.discard(dnode)
             if stop:
                 return True
-        if opts.prefix_pruning and len(exhausted) < opts.memo_cap:
+        if opts.prefix_pruning and len(exhausted) < _MEMO_CAP:
             exhausted.add(prefix)
         return False
 

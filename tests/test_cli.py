@@ -146,6 +146,40 @@ def test_verify_unknown_score_is_data_error(workspace, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "bogus" in err[0], err
 
 
+@pytest.mark.parametrize("line", ["behavior planted 10 x", "behavior planted 10 3"])
+def test_eval_bad_truth_is_data_error(tmp_path, capsys, line):
+    truth = tmp_path / "truth.txt"
+    truth.write_text(line + "\n")
+    instances = tmp_path / "instances.json"
+    instances.write_text(json.dumps({"instances": []}))
+    capsys.readouterr()
+    code = main(["eval", "--instances", str(instances), "--truth", str(truth)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "truth.txt:1" in err[0], err
+
+
+def test_negative_window_is_usage_error(workspace, tmp_path):
+    data = workspace / "data"
+    report = tmp_path / "report.json"
+    assert main(["mine", "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg"),
+                 "--max-edges", "2", "--out", str(report)]) == 0
+    assert main(["match", "--queries", str(report), "--graph", str(data / "test.tg"),
+                 "--window", "-1", "--out", str(tmp_path / "instances.json")]) == 1
+
+
+def test_gen_spec_fields(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"nPositive": 2, "bogusField": 1}))
+    assert main(["gen", "--preset", "small", "--spec", str(spec), "--out", str(tmp_path / "bad")]) == 2
+    spec.write_text(json.dumps({"nPositive": 2, "nNegative": 2, "testEpisodes": 1,
+                                "plantedLabels": ["Q0", "Q1"]}))
+    assert main(["gen", "--preset", "small", "--spec", str(spec), "--out", str(tmp_path / "ok")]) == 0
+    labels = {line.split()[2] for line in (tmp_path / "ok" / "planted.tg").read_text().splitlines()
+              if line.startswith("v ")}
+    assert labels == {"Q0", "Q1"}
+
+
 def test_usage_error_exit_code():
     assert main(["mine", "--pos", "missing.tg"]) == 1  # missing required --neg/--out
 

@@ -141,13 +141,14 @@ class TestTruncationSemantics:
 
         witnesses = []
 
-        def recheck(p, g, opts):
-            witness = real(p, g, opts)
-            witnesses.append(witness)
+        def first_match(session, p, g):
+            witness = real(session, p, g)
+            if session.pos_by_id.get(g.id) is g:  # the truncated re-check
+                witnesses.append(witness)
             return witness
 
-        real = miner.temporal_subgraph_test
-        monkeypatch.setattr(miner, "temporal_subgraph_test", recheck)
+        real = miner._Session.first_match
+        monkeypatch.setattr(miner._Session, "first_match", first_match)
         for seed in range(6):
             positives, negatives = desk_instance(seed)
             result = mine(positives, negatives, MiningConfig(max_edges=3, top_k=5, embedding_cap=1))

@@ -360,6 +360,30 @@ class TestSupergraphPruneCheck:
         assert supergraph_prune_check(g2, s2, mode="int", **common) is entry
         assert supergraph_prune_check(g2, s2, mode="profile", **common) is None
 
+    def test_candidate_must_occur_in_current_pattern(self):
+        # B->A then A->B against A->B twice: same nodes and labels, and in
+        # p0 both patterns' only embeddings end on the last edge, so their
+        # positive residuals are equal; neither occurs in the negative.
+        # Only the containment step can refuse the candidate.
+        pos = [validate("p0", ["A", "B"], [(0, 1, 1), (1, 0, 2), (0, 1, 3)])]
+        neg = [validate("n0", ["X", "Y"], [(0, 1, 1)])]
+        g1 = canonical_pattern(["B", "A"], [(0, 1, 1), (1, 0, 2)])
+        g2 = canonical_pattern(["A", "B"], [(0, 1, 1), (0, 1, 2)])
+        s1, s2 = sig_of(g1, pos), sig_of(g2, pos)
+        assert signatures_equivalent(s1, s2)
+        assert signatures_equivalent(sig_of(g1, neg), sig_of(g2, neg))
+        assert g1.label_multiset() == g2.label_multiset() and g1.n_nodes == g2.n_nodes
+        assert not find_embeddings(g1, g2)
+        registry = PatternRegistry()
+        entry = registry.add(g1, s1)
+        entry.neg_support = frozenset()
+        registry.finalize(entry, branch_max=0.0)
+        hit = supergraph_prune_check(
+            g2, s2, lambda: sig_of(g2, neg), registry, fstar=10.0,
+            sig_n_of=lambda e: sig_of(e.pattern, neg),
+        )
+        assert hit is None
+
     def test_mining_fire_preserves_exact_result(self):
         pos = [reversed_pair_positive()]
         neg = [reversed_pair_negative()]
