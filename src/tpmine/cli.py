@@ -133,14 +133,15 @@ def _cmd_eval(args) -> int:
     payload = json.loads(Path(args.instances).read_text())
     truth = matcher.load_ground_truth(args.truth)
     by_behavior: dict[str, list[matcher.Instance]] = {}
-    for item in payload["instances"]:
-        emb_nodes = tuple(item["nodes"])
-        emb_times = tuple(item["times"])
-        inst = matcher.Instance(
-            embedding=matcher.Embedding(emb_nodes, emb_times),
-            interval=tuple(item["interval"]),
-        )
-        by_behavior.setdefault(item["behavior"], []).append(inst)
+    try:
+        for item in payload["instances"]:
+            inst = matcher.Instance(
+                embedding=matcher.Embedding(tuple(item["nodes"]), tuple(item["times"])),
+                interval=tuple(item["interval"]),
+            )
+            by_behavior.setdefault(item["behavior"], []).append(inst)
+    except KeyError as exc:
+        raise datakit.ParseError(f"instances file lacks key {exc}") from None
     report = matcher.evaluate(by_behavior, truth)
     out = {
         "precision": report.precision,

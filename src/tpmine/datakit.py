@@ -590,6 +590,7 @@ def load_report(path: str | Path) -> dict:
 
 
 def report_queries(report: dict) -> list[TemporalPattern]:
-    return [
-        pattern_from_dict(d, graph_id=f"query-{i}") for i, d in enumerate(report["patterns"])
-    ]
+    try:
+        return [pattern_from_dict(d, graph_id=f"query-{i}") for i, d in enumerate(report["patterns"])]
+    except KeyError as exc:
+        raise ParseError(f"report lacks key {exc}") from None

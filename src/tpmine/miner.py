@@ -2,10 +2,11 @@
 
 Starting from the empty pattern, the search grows one-edge seeds and then
 extends each pattern edge by edge, maintaining the pattern's embeddings in
-the positive graphs incrementally.  Each visited pattern is scored against
-the negatives with the configured discriminative function; three pruning
-rules (the frequency upper bound, subgraph pruning, and supergraph pruning)
-can each skip a branch without affecting the maximum-score result.
+the positive graphs incrementally, and its first match in each negative
+graph, which a child extends by its new edge before searching afresh.  Each
+visited pattern is scored against the negatives with the configured score
+function; three pruning rules (the frequency upper bound, subgraph pruning,
+and supergraph pruning) can each skip a branch without affecting the maximum-score result.
 
 The score threshold used by all pruning rules is the k-th best score seen so
 far (k = top_k), which keeps pruning valid when more than one pattern is
@@ -18,7 +19,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .graphs import Embedding, TemporalGraph, TemporalPattern
 from .growth import EmbeddingTable, empty_pattern, empty_table, expand, grow
@@ -33,7 +34,7 @@ from .pruning import (
 )
 from .scoring import InterestModel, LogRatio, ScoreFunction, ScoredPattern, rank
 # temporal_subgraph_test is not called: bench/tracing.py patches the name for --trace 1
-from .sequences import find_embeddings, temporal_subgraph_test  # noqa: F401
+from .sequences import find_embeddings, first_extension, temporal_subgraph_test  # noqa: F401
 
 
 class EmptyDataset(ValueError):
@@ -141,9 +142,19 @@ class _Session:
     def count_residual_test(self) -> None:
         self.stats.residual_tests += 1
 
-    def first_match(self, p: TemporalPattern, g: TemporalGraph) -> Optional[Embedding]:
-        """Chronologically first match of p in g, or None; counts one subgraph test."""
+    def first_match(self, p: TemporalPattern, g: TemporalGraph,
+                    parent_match: Optional[Embedding] = None) -> Optional[Embedding]:
+        """Chronologically first match of p in g, or None; counts one subgraph test.
+
+        ``parent_match`` is the first match in g of p minus its last edge; matches are ordered by
+        edge positions and each match of p extends a parent match, so its earliest extension, if
+        any, is p's first match, and with no parent edge there is nothing else to search.
+        """
         self.stats.subiso_tests += 1
+        if parent_match is not None:
+            found = first_extension(p, g, parent_match)
+            if found is not None or not parent_match.times:
+                return found
         found = find_embeddings(p, g, limit=1)
         return found[0] if found else None
 
@@ -170,7 +181,7 @@ class _Session:
                 continue
             yield child, child_table, freq_p
 
-    def neg_signature(self, pattern: TemporalPattern, neg_support: Sequence[str]) -> ResidualSignature:
+    def neg_signature(self, pattern: TemporalPattern, neg_support: Collection[str]) -> ResidualSignature:
         """Full negative-side signature, enumerated on demand."""
         entries = {}
         truncated = set()
@@ -219,10 +230,11 @@ def mine(
         pattern: TemporalPattern,
         table: EmbeddingTable,
         parent: Optional[TemporalPattern],
-        parent_neg_support: list[str],
+        parent_neg_support: dict[str, Embedding],
         freq_p: float,
     ) -> tuple[float, int]:
-        """Explore one pattern.
+        """Explore one pattern; ``parent_neg_support`` maps each negative graph
+        holding the parent to the parent's first match there.
 
         Returns (branch score bound, reach): the bound holds for every
         pattern in the branch at any depth, and reach is the largest edge
@@ -263,10 +275,10 @@ def mine(
                 # covers this branch at every depth too
                 return hit.branch_max, pattern.n_edges
 
-        neg_support = [
-            gid for gid in parent_neg_support
-            if session.first_match(pattern, session.neg_by_id[gid]) is not None
-        ]
+        neg_support = {}
+        for gid, parent_match in parent_neg_support.items():
+            if (match := session.first_match(pattern, session.neg_by_id[gid], parent_match)) is not None:
+                neg_support[gid] = match
         freq_n = len(neg_support) / n_neg
         s = fn.score(freq_p, freq_n)
         session.record_score(pattern, s, freq_p, freq_n)
@@ -308,9 +320,9 @@ def mine(
             session.registry.finalize(entry, branch_max, depth_complete=reach < cfg.max_edges)
         return branch_max, reach
 
-    all_neg_ids = [g.id for g in session.negatives]
+    all_negs = {g.id: Embedding((), ()) for g in session.negatives}
     for seedling, seed_table, freq_p in session.children(empty_pattern(), empty_table(session.positives)):
-        visit(seedling, seed_table, None, all_neg_ids, freq_p)
+        visit(seedling, seed_table, None, all_negs, freq_p)
 
     model = InterestModel.from_graphs(
         list(session.positives) + list(session.negatives), cfg.blacklist

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Embedding, TemporalGraph, TemporalPattern
 
@@ -277,6 +277,36 @@ def temporal_subgraph_test(
     return found[0] if found else None
 
 
+def _fitting_edges(g: TemporalGraph, plabels: Sequence[str], ps: int, pd: int, fwd: list[int],
+                   after: int, horizon: float) -> Iterator[int]:
+    """Time-ordered positions past ``after``, up to time ``horizon``, of the data edges that
+    can take pattern edge ps -> pd under the node map ``fwd`` (-1: unmapped).
+    """
+    ds, dd = fwd[ps], fwd[pd]
+    by_src, by_dst, by_pair = g.edge_index()
+    if ds >= 0:
+        cands = by_pair.get((ds, dd), ()) if dd >= 0 else by_src.get(ds, ())
+    elif dd >= 0:
+        cands = by_dst.get(dd, ())
+    else:
+        cands = g.label_pair_index().get((plabels[ps], plabels[pd]), ())
+    loop = ps == pd
+    check_dst = dd < 0 and not loop
+    edges, times, glabels = g.edges, g.timestamps, g.labels
+    for i in range(bisect_right(cands, after), len(cands)):
+        pos = cands[i]
+        if times[pos] > horizon:
+            return
+        src, dst = edges[pos].src, edges[pos].dst
+        if (src == dst) != loop:
+            continue
+        if ds < 0 and (src in fwd or glabels[src] != plabels[ps]):
+            continue
+        if check_dst and (dst in fwd or glabels[dst] != plabels[pd]):
+            continue
+        yield pos
+
+
 def find_embeddings(
     p: TemporalPattern,
     g: TemporalGraph,
@@ -305,8 +335,6 @@ def find_embeddings(
     if (p.n_edges > g.n_edges or p.n_nodes > g.n_nodes
             or any((plabels[s], plabels[d]) not in by_label for s, d in pedges)):
         return []
-    by_src, by_dst, by_pair = g.edge_index()
-    edges, times, glabels = g.edges, g.timestamps, g.labels
     m = len(pedges)
     fwd = [-1] * p.n_nodes  # data node per pattern node, -1 while unmapped
     chosen = [0] * m  # data time per pattern edge
@@ -314,44 +342,32 @@ def find_embeddings(
 
     def rec(k: int, after: int, horizon: float) -> bool:
         ps, pd = pedges[k]
-        ds, dd = fwd[ps], fwd[pd]
-        if ds >= 0:
-            cands = by_pair.get((ds, dd), ()) if dd >= 0 else by_src.get(ds, ())
-        elif dd >= 0:
-            cands = by_dst.get(dd, ())
-        else:
-            cands = by_label[(plabels[ps], plabels[pd])]
-        loop = ps == pd
-        bind_dst = dd < 0 and not loop
-        for i in range(bisect_right(cands, after), len(cands)):
-            pos = cands[i]
-            t = times[pos]
-            if t > horizon:
-                break
-            src, dst = edges[pos].src, edges[pos].dst
-            if (src == dst) != loop:
-                continue
-            if ds < 0 and (src in fwd or glabels[src] != plabels[ps]):
-                continue
-            if bind_dst and (dst in fwd or glabels[dst] != plabels[pd]):
-                continue
-            if ds < 0:
-                fwd[ps] = src
-            if bind_dst:
-                fwd[pd] = dst
-            chosen[k] = t
+        unbound = fwd[ps], fwd[pd]
+        for pos in _fitting_edges(g, plabels, ps, pd, fwd, after, horizon):
+            e = g.edges[pos]
+            fwd[ps], fwd[pd] = e.src, e.dst
+            chosen[k] = e.t
             if k + 1 == m:
                 out.append(Embedding(tuple(fwd), tuple(chosen)))
                 stop = limit is not None and len(out) >= limit
             else:
-                stop = rec(k + 1, pos, t + window if k == 0 and window else horizon)
-            if ds < 0:
-                fwd[ps] = -1
-            if bind_dst:
-                fwd[pd] = -1
+                stop = rec(k + 1, pos, e.t + window if k == 0 and window else horizon)
+            fwd[ps], fwd[pd] = unbound
             if stop:
                 return True
         return False
 
     rec(0, -1, float("inf"))
     return out
+
+
+def first_extension(p: TemporalPattern, g: TemporalGraph, prefix: Embedding) -> Optional[Embedding]:
+    """Earliest match of p in g extending ``prefix``, a match of p without its last edge."""
+    e = p.edges[-1]
+    fwd = list(prefix.nodes) + [-1] * (p.n_nodes - len(prefix.nodes))
+    after = bisect_right(g.timestamps, prefix.max_data_time) - 1
+    for pos in _fitting_edges(g, p.labels, e.src, e.dst, fwd, after, float("inf")):
+        d = g.edges[pos]
+        fwd[e.src], fwd[e.dst] = d.src, d.dst
+        return Embedding(tuple(fwd), prefix.times + (d.t,))
+    return None

@@ -159,6 +159,33 @@ def test_eval_bad_truth_is_data_error(tmp_path, capsys, line):
     assert len(err) == 1 and err[0].startswith("error:") and "truth.txt:1" in err[0], err
 
 
+@pytest.mark.parametrize("payload, key", [
+    ({"items": []}, "instances"),
+    ({"instances": [{"behavior": "b", "times": [1], "interval": [1, 1]}]}, "nodes"),
+])
+def test_eval_missing_key_is_data_error(tmp_path, capsys, payload, key):
+    truth = tmp_path / "truth.txt"
+    truth.write_text("behavior b 1 1\n")
+    instances = tmp_path / "instances.json"
+    instances.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["eval", "--instances", str(instances), "--truth", str(truth)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
+
+
+def test_match_report_without_patterns_is_data_error(workspace, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"config": {}}))
+    capsys.readouterr()
+    code = main(["match", "--queries", str(report), "--graph", str(workspace / "data" / "test.tg"),
+                 "--out", str(tmp_path / "instances.json")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "patterns" in err[0], err
+
+
 def test_negative_window_is_usage_error(workspace, tmp_path):
     data = workspace / "data"
     report = tmp_path / "report.json"

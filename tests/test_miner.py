@@ -1,17 +1,19 @@
 """Mining sessions: exactness, anti-monotonicity, determinism, and config handling."""
 
 import json
+import random
 
 import pytest
 
 from tpmine.datakit import result_to_dict
-from tpmine.graphs import validate
-from tpmine.growth import EmbeddingTable
-from tpmine.miner import ConfigInvalid, EmptyDataset, MiningConfig, mine
-from tpmine.oracle import oracle_best_score
+from tpmine.graphs import canonical_pattern, validate
+from tpmine.growth import EmbeddingTable, empty_pattern
+from tpmine.miner import ConfigInvalid, EmptyDataset, MiningConfig, _Session, mine
+from tpmine.oracle import oracle_best_score, oracle_frequency
 from tpmine.scoring import LogRatio
+from tpmine.sequences import find_embeddings, first_extension
 
-from conftest import desk_instance
+from conftest import desk_instance, embedded_pattern, random_graph, random_pattern
 
 
 def frequency(table: EmbeddingTable, set_size: int) -> float:
@@ -141,8 +143,8 @@ class TestTruncationSemantics:
 
         witnesses = []
 
-        def first_match(session, p, g):
-            witness = real(session, p, g)
+        def first_match(session, p, g, *parent_match):
+            witness = real(session, p, g, *parent_match)
             if session.pos_by_id.get(g.id) is g:  # the truncated re-check
                 witnesses.append(witness)
             return witness
@@ -157,6 +159,80 @@ class TestTruncationSemantics:
                 assert sp.freq_p == pytest.approx(oracle_frequency(sp.pattern, positives))
                 assert sp.freq_n == pytest.approx(oracle_frequency(sp.pattern, negatives))
         assert any(w is not None for w in witnesses)
+
+
+class TestNegativeWitness:
+    """Each negative graph's first match is carried from parent to child."""
+
+    def test_full_search_when_first_match_does_not_extend(self):
+        # The parent A->B first matches A1->B1@1, which no B->C edge follows;
+        # only the later parent match A2->B2@2 extends, by B2->C@3.
+        positives = [validate("p", ["A", "B", "C"], [(0, 1, 1), (1, 2, 2)])]
+        negatives = [validate("n", ["A", "B", "A", "B", "C"], [(0, 1, 1), (2, 3, 2), (3, 4, 3)])]
+        freq_n = {}
+
+        def watch(pattern, parent, freq_p, fn, action):
+            if action == "scored":
+                freq_n[pattern.text()] = fn
+
+        cfg = MiningConfig(max_edges=2, use_bound_prune=False, use_subgraph_prune=False,
+                           use_supergraph_prune=False)
+        mine(positives, negatives, cfg, on_visit=watch)
+        assert freq_n["0:A->1:B@1;1:B->2:C@2"] == 1.0
+
+    def test_carried_witness_is_the_first_match(self):
+        # Lemma: from the parent's first match, the two-step test returns the
+        # child's first match, or None exactly when the child has no match.
+        rng = random.Random(45)
+        cases = extended = 0
+        while cases < 300:
+            if cases % 3 == 0:
+                n = rng.randint(2, 5)
+                edges = [(rng.randrange(n), rng.randrange(n), t) for t in range(1, rng.randint(2, 12))]
+                g = validate("loops", [rng.choice("AB") for _ in range(n)], edges, allow_self_loops=True)
+                child = embedded_pattern(rng, g, max_edges=3) or random_pattern(rng, max_edges=3, labels="AB")
+            else:
+                g = random_graph(rng, max_nodes=6, max_edges=12)
+                child = embedded_pattern(rng, g, max_edges=4) if rng.random() < 0.7 else None
+                child = child or random_pattern(rng, max_edges=4)
+            prefix = [(e.src, e.dst, e.t) for e in child.edges[:-1]]
+            parent = canonical_pattern(child.labels, prefix) if prefix else empty_pattern()
+            parent_first = find_embeddings(parent, g, limit=1)
+            if not parent_first:
+                continue  # the miner never tests a graph without the parent
+            every = find_embeddings(child, g)
+            extensions = [m for m in every if m.times[:-1] == parent_first[0].times]
+            assert first_extension(child, g, parent_first[0]) == (extensions[0] if extensions else None)
+            session = _Session([g], [g], MiningConfig(), None)
+            witness = session.first_match(child, g, parent_first[0])
+            assert witness == (every[0] if every else None), (child.text(), g.edges)
+            assert session.stats.subiso_tests == 1
+            cases += 1
+            extended += len(extensions) > 1
+        assert extended > 30
+
+    @pytest.mark.parametrize("min_freq_p", [0.0, 0.5])
+    @pytest.mark.parametrize("cap", [1, MiningConfig().embedding_cap])
+    def test_negative_frequencies_match_oracle(self, min_freq_p, cap):
+        checked = 0
+        for seed in range(4):
+            positives, negatives = desk_instance(30 + seed)
+            if seed % 2:
+                negatives.append(validate("loops", ["A", "B", "C", "D"],
+                                          [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 4), (0, 1, 5), (1, 2, 6)],
+                                          allow_self_loops=True))
+            scored = []
+
+            def watch(pattern, parent, freq_p, freq_n, action):
+                if action == "scored":
+                    scored.append((pattern, freq_n))
+
+            mine(positives, negatives, MiningConfig(max_edges=3, embedding_cap=cap, min_freq_p=min_freq_p),
+                 on_visit=watch)
+            for pattern, freq_n in scored:
+                assert freq_n == pytest.approx(oracle_frequency(pattern, negatives)), pattern.text()
+            checked += len(scored)
+        assert checked >= 20
 
 
 class TestScoreVariantsEndToEnd:
