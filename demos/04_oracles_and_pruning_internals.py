@@ -12,7 +12,7 @@ import random
 
 from tpmine import MiningConfig, mine, validate
 from tpmine.graphs import canonical_pattern
-from tpmine.growth import EmbeddingTable
+from tpmine.growth import EmbeddingTable, table_entries
 from tpmine.oracle import oracle_best_score, oracle_residual_equal, oracle_subgraph_test
 from tpmine.pruning import residual_signature, signatures_equivalent
 from tpmine.scoring import LogRatio
@@ -58,7 +58,7 @@ g2 = canonical_pattern(["A", "B", "C"], [(0, 1, 1), (1, 2, 2)])
 
 
 def sig(p):
-    return residual_signature(EmbeddingTable({G.id: find_embeddings(p, G)}), [G])
+    return residual_signature(EmbeddingTable({G.id: table_entries(G, find_embeddings(p, G))}), [G])
 
 
 s1, s2 = sig(g1), sig(g2)

@@ -38,6 +38,7 @@ from .growth import (
     empty_pattern,
     empty_table,
     grow,
+    table_entries,
 )
 from .pruning import (
     PatternRegistry,

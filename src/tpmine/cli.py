@@ -133,8 +133,9 @@ def _cmd_eval(args) -> int:
     payload = json.loads(Path(args.instances).read_text())
     truth = matcher.load_ground_truth(args.truth)
     by_behavior: dict[str, list[matcher.Instance]] = {}
+    items = datakit.json_value(payload, "instances", what="instances file")
     try:
-        for item in payload["instances"]:
+        for item in items:
             inst = matcher.Instance(
                 embedding=matcher.Embedding(tuple(item["nodes"]), tuple(item["times"])),
                 interval=tuple(item["interval"]),
@@ -194,7 +195,10 @@ def _cmd_verify(args) -> int:
     queries = datakit.report_queries(report)
     positives = datakit.load_dataset(args.pos, tie_policy=args.tie_policy)[0]
     negatives = datakit.load_dataset(args.neg, tie_policy=args.tie_policy)[1]
-    score = datakit.score_fn_from_dict(report["config"]["score"])
+    score = datakit.score_fn_from_dict(datakit.json_value(report, "config", "score"))
+    if args.exhaustive:
+        max_edges = datakit.json_value(report, "config", "maxEdges")
+        reported_max = datakit.json_value(report, "maxScore")
     # Per-query frequency checks only need structural room for the actual
     # inputs; the exhaustive re-mining below keeps the tight default limits
     # so oversized instances fail loudly instead of running for days.
@@ -218,11 +222,9 @@ def _cmd_verify(args) -> int:
               f"{'OK' if ok else 'MISMATCH'}")
         failures += 0 if ok else 1
     if args.exhaustive:
-        best, _ = oracle.oracle_best_score(
-            positives, negatives, report["config"]["maxEdges"], score, budget
-        )
-        ok = abs(best - report["maxScore"]) < 1e-9
-        print(f"exhaustive max score {best:.6f} vs reported {report['maxScore']:.6f} "
+        best, _ = oracle.oracle_best_score(positives, negatives, max_edges, score, budget)
+        ok = abs(best - reported_max) < 1e-9
+        print(f"exhaustive max score {best:.6f} vs reported {reported_max:.6f} "
               f"{'OK' if ok else 'MISMATCH'}")
         failures += 0 if ok else 1
     return 0 if failures == 0 else DATA_ERROR

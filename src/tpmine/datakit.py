@@ -589,8 +589,24 @@ def load_report(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def json_value(doc, *path: str, what: str = "report"):
+    """``doc[path[0]][path[1]]...`` of a parsed JSON file.
+
+    Raises ParseError, naming the step, when a step is not a JSON object or
+    lacks its key.
+    """
+    for depth, key in enumerate(path):
+        if not isinstance(doc, dict):
+            raise ParseError(f"{'.'.join((what,) + path[:depth])} is not a JSON object")
+        if key not in doc:
+            raise ParseError(f"{what} lacks key {'.'.join(path[:depth + 1])!r}")
+        doc = doc[key]
+    return doc
+
+
 def report_queries(report: dict) -> list[TemporalPattern]:
+    patterns = json_value(report, "patterns")
     try:
-        return [pattern_from_dict(d, graph_id=f"query-{i}") for i, d in enumerate(report["patterns"])]
+        return [pattern_from_dict(d, graph_id=f"query-{i}") for i, d in enumerate(patterns)]
     except KeyError as exc:
         raise ParseError(f"report lacks key {exc}") from None

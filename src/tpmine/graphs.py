@@ -51,6 +51,15 @@ class TemporalEdge:
     t: int
 
 
+def _frozen(groups: dict) -> dict:
+    """The same groups with tuples for lists.
+
+    Graphs never change, and tuples of ints drop out of the cyclic garbage
+    collector's scans.
+    """
+    return {key: tuple(items) for key, items in groups.items()}
+
+
 class TemporalGraph:
     """Labeled directed temporal multigraph.
 
@@ -91,13 +100,21 @@ class TemporalGraph:
         return len(ts) - bisect_right(ts, t)
 
     def edge_index(self) -> tuple[dict, dict, dict]:
-        """Edge positions in time order, grouped by source, by destination and by node pair; cached."""
+        """Edge positions in time order, grouped by source, by destination and by node pair.
+
+        Cached; each group maps its key to a tuple of positions.
+        """
         idx = self._cache.get("edge_index")
         if idx is None:
-            idx = self._cache["edge_index"] = ({}, {}, {})
+            by_src: dict[int, list[int]] = {}
+            by_dst: dict[int, list[int]] = {}
+            by_pair: dict[tuple[int, int], list[int]] = {}
             for pos, e in enumerate(self.edges):
-                for group, key in zip(idx, (e.src, e.dst, (e.src, e.dst))):
-                    group.setdefault(key, []).append(pos)
+                src, dst = e.src, e.dst
+                by_src.setdefault(src, []).append(pos)
+                by_dst.setdefault(dst, []).append(pos)
+                by_pair.setdefault((src, dst), []).append(pos)
+            idx = self._cache["edge_index"] = (_frozen(by_src), _frozen(by_dst), _frozen(by_pair))
         return idx
 
     def last_label_positions(self) -> dict[str, int]:
@@ -111,14 +128,15 @@ class TemporalGraph:
             self._cache["last_label_positions"] = last
         return last
 
-    def label_pair_index(self) -> dict[tuple[str, str], list[int]]:
-        """Edge positions grouped by (source label, destination label)."""
+    def label_pair_index(self) -> dict[tuple[str, str], tuple[int, ...]]:
+        """Edge positions in time order grouped by (source label, destination label); cached."""
         idx = self._cache.get("label_pair_index")
         if idx is None:
-            idx = {}
+            labels = self.labels
+            lists: dict[tuple[str, str], list[int]] = {}
             for i, e in enumerate(self.edges):
-                idx.setdefault((self.labels[e.src], self.labels[e.dst]), []).append(i)
-            self._cache["label_pair_index"] = idx
+                lists.setdefault((labels[e.src], labels[e.dst]), []).append(i)
+            idx = self._cache["label_pair_index"] = _frozen(lists)
         return idx
 
     def degree_profile(self) -> tuple:

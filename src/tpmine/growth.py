@@ -15,9 +15,9 @@ pairwise interactions and exclude self-loops.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Embedding, TemporalEdge, TemporalGraph, TemporalPattern
 
@@ -56,16 +56,23 @@ class Extension:
         )
 
 
+# One match: (data node per pattern node, position in g.edges of the match's last edge).
+Entry = tuple[tuple[int, ...], int]
+
+
 @dataclass(frozen=True)
 class EmbeddingTable:
     """All known matches of one pattern, per data graph.
 
-    ``entries[graph_id]`` lists embeddings; graphs in ``truncated`` hit the
-    per-graph cap, so their lists (and anything derived from them other than
-    plain existence) are incomplete.
+    ``entries[graph_id]`` is a tuple of ``(nodes, last)`` pairs: ``nodes[i]``
+    is the data node pattern node i maps to, and ``last`` is the position in
+    the graph's edge list of the match's last edge (-1 for the empty
+    pattern), so the match can only grow with edges after it.  Graphs in
+    ``truncated`` hit the per-graph cap, so their tuples (and anything
+    derived from them other than plain existence) are incomplete.
     """
 
-    entries: dict[str, list[Embedding]]
+    entries: dict[str, tuple[Entry, ...]]
     truncated: frozenset[str] = frozenset()
 
     @property
@@ -85,7 +92,13 @@ def empty_pattern() -> TemporalPattern:
 
 def empty_table(graphs: Sequence[TemporalGraph]) -> EmbeddingTable:
     """The empty pattern matches every graph once, before all of its edges."""
-    return EmbeddingTable({g.id: [Embedding((), ())] for g in graphs})
+    return EmbeddingTable({g.id: (((), -1),) for g in graphs})
+
+
+def table_entries(g: TemporalGraph, matches: Iterable[Embedding]) -> tuple[Entry, ...]:
+    """The ``(nodes, last)`` table entries of matches found in g (by ``find_embeddings``)."""
+    ts = g.timestamps
+    return tuple((m.nodes, bisect_left(ts, m.times[-1]) if m.times else -1) for m in matches)
 
 
 def grow(p: TemporalPattern, x: Extension) -> TemporalPattern:
@@ -141,17 +154,18 @@ def expand(
 ) -> dict[Extension, EmbeddingTable]:
     """All extensions and their child tables, from one pass over the embeddings.
 
-    Each later data edge touching an embedding's image, read from the
-    graph's per-node edge index, is classified once by which endpoints the
-    embedding maps.  One parent's children for one extension come from one
-    index list in edge order, as a plain scan would give them.  Buckets are
-    plain tuples ordered like ``Extension.sort_key``; keys come back in that
-    order, with one Extension built per distinct key.
+    Each data edge after a match's last edge and touching its image, read
+    from the graph's per-node edge index, is classified once by which
+    endpoints the match maps; the empty pattern's seeds come from the
+    label-pair index instead.  One parent's children for one extension come
+    from one index list in edge order, as a plain scan would give them.
+    Buckets are plain tuples ordered like ``Extension.sort_key``; keys come
+    back in that order, with one Extension built per distinct key.
     """
-    entries: dict[tuple, dict[str, list[Embedding]]] = {}
+    entries: dict[tuple, dict[str, list[Entry]]] = {}
     truncated: dict[tuple, set[str]] = {}
 
-    def add(key: tuple, gid: str, child: Embedding) -> None:
+    def add(key: tuple, gid: str, child: Entry) -> None:
         bucket = entries.get(key)
         if bucket is None:
             bucket = entries[key] = {}
@@ -167,37 +181,42 @@ def expand(
         parents = table.entries.get(g.id)
         if not parents:
             continue
-        gid, ts, labels, edges = g.id, g.timestamps, g.labels, g.edges
+        gid, labels, edges = g.id, g.labels, g.edges
         by_src, by_dst, _ = g.edge_index()
-        for emb in parents:
-            nodes, times = emb.nodes, emb.times
-            start = bisect_right(ts, emb.max_data_time)
+        for nodes, last in parents:
+            start = last + 1
             if not nodes:
-                for e in edges[start:]:
-                    if e.src != e.dst:
-                        add((0, -1, -1, labels[e.src], labels[e.dst]), gid, Embedding((e.src, e.dst), (e.t,)))
+                for (sl, dl), positions in g.label_pair_index().items():
+                    for j in range(bisect_left(positions, start), len(positions)):
+                        pos = positions[j]
+                        e = edges[pos]
+                        if e.src != e.dst:
+                            add((0, -1, -1, sl, dl), gid, ((e.src, e.dst), pos))
                 continue
             inverse = {dn: i for i, dn in enumerate(nodes)}
             for i, v in enumerate(nodes):
                 out_edges = by_src.get(v, ())
                 for j in range(bisect_left(out_edges, start), len(out_edges)):
-                    e = edges[out_edges[j]]
+                    pos = out_edges[j]
+                    e = edges[pos]
                     if e.dst == v:
                         continue
                     di = inverse.get(e.dst)
                     if di is None:
-                        add((1, i, -1, "", labels[e.dst]), gid, Embedding(nodes + (e.dst,), times + (e.t,)))
+                        add((1, i, -1, "", labels[e.dst]), gid, (nodes + (e.dst,), pos))
                     else:
-                        add((3, i, di, "", ""), gid, Embedding(nodes, times + (e.t,)))
+                        add((3, i, di, "", ""), gid, (nodes, pos))
                 in_edges = by_dst.get(v, ())
                 for j in range(bisect_left(in_edges, start), len(in_edges)):
-                    e = edges[in_edges[j]]
+                    pos = in_edges[j]
+                    e = edges[pos]
                     if e.src not in inverse:
-                        add((2, -1, i, labels[e.src], ""), gid, Embedding(nodes + (e.src,), times + (e.t,)))
+                        add((2, -1, i, labels[e.src], ""), gid, (nodes + (e.src,), pos))
     result: dict[Extension, EmbeddingTable] = {}
     for key in sorted(entries):
         bad = truncated.get(key, set())
         if table.truncated:
             bad = bad | set(table.truncated)
-        result[_extension(key)] = EmbeddingTable(entries[key], frozenset(bad))
+        kids = {gid: tuple(out) for gid, out in entries[key].items()}
+        result[_extension(key)] = EmbeddingTable(kids, frozenset(bad))
     return result

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .graphs import Embedding, TemporalGraph, TemporalPattern
-from .growth import EmbeddingTable, empty_pattern, empty_table, expand, grow
+from .growth import EmbeddingTable, empty_pattern, empty_table, expand, grow, table_entries
 from .pruning import (
     PatternRegistry,
     RegistryEntry,
@@ -167,9 +167,10 @@ class _Session:
         """
         for gid in table.truncated:
             if not table.entries.get(gid):
-                witness = self.first_match(pattern, self.pos_by_id[gid])
+                g = self.pos_by_id[gid]
+                witness = self.first_match(pattern, g)
                 if witness is not None:
-                    table.entries[gid] = [witness]
+                    table.entries[gid] = table_entries(g, [witness])
         return len(table.support_ids())
 
     def children(self, pattern: TemporalPattern, table: EmbeddingTable) -> Iterator[tuple]:
@@ -190,7 +191,7 @@ class _Session:
             embs = find_embeddings(pattern, g, limit=self.cfg.embedding_cap)
             if len(embs) >= self.cfg.embedding_cap:
                 truncated.add(gid)
-            entries[gid] = embs
+            entries[gid] = table_entries(g, embs)
         table = EmbeddingTable(entries, frozenset(truncated))
         return residual_signature(table, [self.neg_by_id[gid] for gid in neg_support])
 

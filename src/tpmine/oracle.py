@@ -3,7 +3,8 @@
 Everything here is deliberately simple and slow: exhaustive backtracking for
 subgraph tests, edge-subset enumeration for pattern spaces, full
 re-enumeration for residual comparisons, and per-extension growth
-(``enumerate_extensions`` then ``extend_embeddings``) as the reference for
+(``enumerate_extensions`` then ``extend_embeddings``, over tables of
+``Embedding`` objects that start from ``root_table``) as the reference for
 ``growth.expand``.  These functions share no code with
 the production search/matching paths so that agreement between the two is
 meaningful evidence of correctness.  Budgets fail loudly instead of
@@ -278,6 +279,11 @@ def oracle_residual_equal(
 ) -> bool:
     """Direct residual comparison: per-graph multisets of residual sizes must agree."""
     return oracle_residual_profile(g1, graphs, budget) == oracle_residual_profile(g2, graphs, budget)
+
+
+def root_table(graphs: Sequence[TemporalGraph]) -> EmbeddingTable:
+    """The empty pattern's table for the reference growth: one empty Embedding per graph."""
+    return EmbeddingTable({g.id: [Embedding((), ())] for g in graphs})
 
 
 def enumerate_extensions(

@@ -72,7 +72,7 @@ class ResidualSignature:
 
 
 def residual_signature(table: EmbeddingTable, graphs: Sequence[TemporalGraph]) -> ResidualSignature:
-    """Single pass over the embedding table; one residual per embedding."""
+    """Single pass over the embedding table; one residual per match, the edges after its last."""
     total = 0
     profile: list[tuple[str, tuple[int, ...]]] = []
     starts: list[tuple[TemporalGraph, int]] = []
@@ -80,7 +80,8 @@ def residual_signature(table: EmbeddingTable, graphs: Sequence[TemporalGraph]) -
         embs = table.entries.get(g.id)
         if not embs:
             continue
-        sizes = sorted(g.edges_after(e.max_data_time) for e in embs)
+        final = g.n_edges - 1
+        sizes = sorted(final - last for _, last in embs)
         profile.append((g.id, tuple(sizes)))
         starts.append((g, g.n_edges - sizes[-1]))
         total += sum(sizes)

@@ -30,7 +30,7 @@ from tpmine.oracle import (
     oracle_subgraph_test,
 )
 from tpmine.pruning import residual_signature
-from tpmine.growth import EmbeddingTable
+from tpmine.growth import EmbeddingTable, table_entries
 from tpmine.scoring import GTest, InfoGain, LogRatio
 from tpmine.sequences import SubgraphTestOptions, find_embeddings, temporal_subgraph_test
 
@@ -206,7 +206,7 @@ def test_residual_signature_integer_equivalence():
         )
 
         def int_sig(p):
-            table = EmbeddingTable({g.id: find_embeddings(p, g) for g in graphs})
+            table = EmbeddingTable({g.id: table_entries(g, find_embeddings(p, g)) for g in graphs})
             return residual_signature(table, graphs).i_value
 
         int_equal = int_sig(g1) == int_sig(g2)

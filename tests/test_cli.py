@@ -239,3 +239,50 @@ def test_determinism_across_runs(workspace, tmp_path):
     a["stats"].pop("wallTime")
     b["stats"].pop("wallTime")
     assert a == b
+
+
+@pytest.mark.parametrize("drop, exhaustive, key", [
+    (("config",), False, "config"),
+    (("config", "score"), False, "config.score"),
+    (("config", "maxEdges"), True, "config.maxEdges"),
+])
+def test_verify_incomplete_report_is_data_error(workspace, tmp_path, capsys, drop, exhaustive, key):
+    data = workspace / "data"
+    report = tmp_path / "report.json"
+    assert main(["mine", "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg"),
+                 "--max-edges", "2", "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    parent = doc
+    for step in drop[:-1]:
+        parent = parent[step]
+    del parent[drop[-1]]
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["verify", "--report", str(report), "--pos", str(data / "pos.tg"),
+                 "--neg", str(data / "neg.tg")] + (["--exhaustive"] if exhaustive else []))
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
+
+
+def test_eval_instances_not_an_object_is_data_error(tmp_path, capsys):
+    truth = tmp_path / "truth.txt"
+    truth.write_text("behavior b 1 1\n")
+    instances = tmp_path / "instances.json"
+    instances.write_text("[]")
+    capsys.readouterr()
+    code = main(["eval", "--instances", str(instances), "--truth", str(truth)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "instances file" in err[0], err
+
+
+def test_match_report_not_an_object_is_data_error(workspace, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text("[]")
+    capsys.readouterr()
+    code = main(["match", "--queries", str(report), "--graph", str(workspace / "data" / "test.tg"),
+                 "--out", str(tmp_path / "instances.json")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "report" in err[0], err

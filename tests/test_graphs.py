@@ -249,3 +249,15 @@ def test_pattern_key_identifies_equality(seed):
     p = random_pattern(rng, max_edges=4)
     q = random_pattern(rng, max_edges=4)
     assert (patterns_equal(p, q) is not None) == (p.key() == q.key())
+
+
+def test_edge_indexes_hold_position_tuples():
+    # Graphs never change, so their cached indexes hold tuples, in time order.
+    g = validate("g", ["A", "B", "A"], [(0, 1, 4), (1, 2, 2), (0, 1, 7), (2, 2, 9)], allow_self_loops=True)
+    by_src, by_dst, by_pair = g.edge_index()
+    assert by_src == {0: (1, 2), 1: (0,), 2: (3,)}
+    assert by_dst == {1: (1, 2), 2: (0, 3)}
+    assert by_pair == {(0, 1): (1, 2), (1, 2): (0,), (2, 2): (3,)}
+    assert g.label_pair_index() == {("B", "A"): (0,), ("A", "B"): (1, 2), ("A", "A"): (3,)}
+    groups = [by_src, by_dst, by_pair, g.label_pair_index()]
+    assert all(type(v) is tuple for group in groups for v in group.values())

@@ -18,6 +18,7 @@ from tpmine.oracle import (
     extend_embeddings,
     oracle_embeddings,
     oracle_enumerate_patterns,
+    root_table,
 )
 
 from conftest import random_graph
@@ -30,7 +31,7 @@ def chain_graph():
 class TestEnumerateExtensions:
     def test_empty_pattern_seeds_are_distinct_label_pairs(self):
         g = chain_graph()
-        exts = enumerate_extensions(empty_pattern(), empty_table([g]), [g])
+        exts = enumerate_extensions(empty_pattern(), root_table([g]), [g])
         assert exts == [
             Extension("seed", src_label="A", dst_label="B"),
             Extension("seed", src_label="B", dst_label="C"),
@@ -40,7 +41,7 @@ class TestEnumerateExtensions:
         g = chain_graph()
         seed = Extension("seed", src_label="A", dst_label="B")
         p = grow(empty_pattern(), seed)
-        table = extend_embeddings(empty_table([g]), seed, [g])
+        table = extend_embeddings(root_table([g]), seed, [g])
         exts = enumerate_extensions(p, table, [g])
         assert exts == [Extension("forward", src=1, dst_label="C")]
 
@@ -48,7 +49,7 @@ class TestEnumerateExtensions:
         g = validate("g", ["A", "B"], [(0, 1, 1), (0, 1, 5)])
         seed = Extension("seed", src_label="A", dst_label="B")
         p = grow(empty_pattern(), seed)
-        table = extend_embeddings(empty_table([g]), seed, [g])
+        table = extend_embeddings(root_table([g]), seed, [g])
         exts = enumerate_extensions(p, table, [g])
         assert Extension("inward", src=0, dst=1) in exts
 
@@ -56,7 +57,7 @@ class TestEnumerateExtensions:
         g = validate("g", ["A", "B", "C"], [(0, 1, 1), (2, 0, 2)])
         seed = Extension("seed", src_label="A", dst_label="B")
         p = grow(empty_pattern(), seed)
-        table = extend_embeddings(empty_table([g]), seed, [g])
+        table = extend_embeddings(root_table([g]), seed, [g])
         exts = enumerate_extensions(p, table, [g])
         assert exts == [Extension("backward", dst=0, src_label="C")]
 
@@ -65,7 +66,7 @@ class TestEnumerateExtensions:
         g = validate("g", ["A", "B", "C"], [(1, 2, 1), (0, 1, 9)])
         seed = Extension("seed", src_label="A", dst_label="B")
         p = grow(empty_pattern(), seed)
-        table = extend_embeddings(empty_table([g]), seed, [g])
+        table = extend_embeddings(root_table([g]), seed, [g])
         assert table.entries["g"][0].max_data_time == 9
         assert enumerate_extensions(p, table, [g]) == []
 
@@ -92,8 +93,8 @@ class TestGrow:
         rng = random.Random(3)
         g = random_graph(rng, max_nodes=6, max_edges=10)
         frontier = [(grow(empty_pattern(), ext), ext) for ext in
-                    enumerate_extensions(empty_pattern(), empty_table([g]), [g])]
-        table0 = empty_table([g])
+                    enumerate_extensions(empty_pattern(), root_table([g]), [g])]
+        table0 = root_table([g])
         stack = [(p, extend_embeddings(table0, ext, [g])) for p, ext in frontier]
         seen = 0
         while stack and seen < 200:
@@ -123,7 +124,7 @@ class TestExtendEmbeddings:
         g = chain_graph()
         seed = Extension("seed", src_label="B", dst_label="C")
         p = grow(empty_pattern(), seed)
-        table = extend_embeddings(empty_table([g]), seed, [g])
+        table = extend_embeddings(root_table([g]), seed, [g])
         out = extend_embeddings(table, Extension("forward", src=1, dst_label="A"), [g])
         assert out.support_ids() == []
 
@@ -131,7 +132,7 @@ class TestExtendEmbeddings:
         rng = random.Random(8)
         for _ in range(60):
             g = random_graph(rng, max_nodes=6, max_edges=10)
-            table = empty_table([g])
+            table = root_table([g])
             p = empty_pattern()
             for _ in range(3):
                 exts = enumerate_extensions(p, table, [g])
@@ -148,7 +149,7 @@ class TestExtendEmbeddings:
         checked = 0
         while checked < 80:
             g = random_graph(rng, max_nodes=6, max_edges=10)
-            table = empty_table([g])
+            table = root_table([g])
             p = empty_pattern()
             depth = rng.randint(1, 3)
             ok = True
@@ -168,7 +169,7 @@ class TestExtendEmbeddings:
     def test_truncation_flag(self):
         g = validate("g", ["A", "B"], [(0, 1, 1), (0, 1, 2), (0, 1, 3)])
         seed = Extension("seed", src_label="A", dst_label="B")
-        table = extend_embeddings(empty_table([g]), seed, [g], cap=2)
+        table = extend_embeddings(root_table([g]), seed, [g], cap=2)
         assert len(table.entries["g"]) == 2
         assert "g" in table.truncated
         assert not table.exact
@@ -186,36 +187,70 @@ class TestExpand:
             graphs = [random_graph(rng, max_nodes=6, max_edges=10, graph_id=f"g{i}")
                       for i in range(rng.randint(1, 3))]
             table = empty_table(graphs)
+            oracle_table = root_table(graphs)
             p = empty_pattern()
             for _ in range(rng.randint(1, 3)):
                 fused = expand(table, graphs)
-                listed = enumerate_extensions(p, table, graphs)
+                listed = enumerate_extensions(p, oracle_table, graphs)
                 assert list(fused) == listed
                 for ext in listed:
-                    split = extend_embeddings(table, ext, graphs)
-                    assert fused[ext].entries == split.entries
+                    split = extend_embeddings(oracle_table, ext, graphs)
+                    assert fused[ext].entries == as_entries(split, graphs)
                     assert fused[ext].truncated == split.truncated
                 if not listed:
                     break
                 ext = listed[rng.randrange(len(listed))]
                 p = grow(p, ext)
                 table = fused[ext]
+                oracle_table = extend_embeddings(oracle_table, ext, graphs)
 
     def test_cap_matches_per_extension_api(self):
         g = validate("g", ["A", "B"], [(0, 1, 1), (0, 1, 2), (0, 1, 3), (0, 1, 4)])
         table = empty_table([g])
         fused = expand(table, [g], cap=2)
         seed = Extension("seed", src_label="A", dst_label="B")
-        split = extend_embeddings(table, seed, [g], cap=2)
-        assert fused[seed].entries == split.entries
+        split = extend_embeddings(root_table([g]), seed, [g], cap=2)
+        assert fused[seed].entries == as_entries(split, [g])
         assert fused[seed].truncated == split.truncated == frozenset({"g"})
+
+    @pytest.mark.parametrize("cap", [1, 2, 10_000])
+    def test_seed_tables_match_per_extension_api(self, cap):
+        # Seeds come from the label-pair index: same keys, entries in edge
+        # order, cap and truncation as the per-extension reference, and no
+        # self-loop edge ever seeds a pattern.
+        rng = random.Random(40 + cap)
+        loops = 0
+        for _ in range(60):
+            graphs = []
+            for i in range(rng.randint(1, 3)):
+                n = rng.randint(2, 5)
+                edges = [(rng.randrange(n), rng.randrange(n), t) for t in range(1, rng.randint(2, 12))]
+                loops += sum(s == d for s, d, _ in edges)
+                graphs.append(validate(f"l{i}", [rng.choice("ABC") for _ in range(n)], edges,
+                                       allow_self_loops=True))
+            fused = expand(empty_table(graphs), graphs, cap=cap)
+            oracle_table = root_table(graphs)
+            listed = enumerate_extensions(empty_pattern(), oracle_table, graphs)
+            assert list(fused) == listed
+            for ext in listed:
+                split = extend_embeddings(oracle_table, ext, graphs, cap=cap)
+                assert fused[ext].entries == as_entries(split, graphs)
+                assert fused[ext].truncated == split.truncated
+        assert loops > 0
+
+
+def as_entries(table, graphs):
+    """An oracle table's Embeddings as (nodes, position of the last edge) entries."""
+    by_id = {g.id: g for g in graphs}
+    return {gid: tuple((m.nodes, by_id[gid].timestamps.index(m.times[-1])) for m in embs)
+            for gid, embs in table.entries.items()}
 
 
 def _dfs_all_patterns(graphs, max_edges):
     """DFS over seeds and extensions, recording every visited pattern key."""
     visited = {}
     root = empty_pattern()
-    table0 = empty_table(graphs)
+    table0 = root_table(graphs)
 
     def walk(p, table):
         key = p.key()

@@ -8,7 +8,7 @@ from bisect import bisect_right
 import pytest
 
 from tpmine.graphs import canonical_pattern, validate
-from tpmine.growth import EmbeddingTable, empty_table
+from tpmine.growth import EmbeddingTable, empty_table, table_entries
 from tpmine.miner import MiningConfig, mine
 from tpmine.oracle import oracle_best_score, oracle_embeddings, oracle_residual_equal
 from tpmine.pruning import (
@@ -29,7 +29,7 @@ INF = float("inf")
 
 
 def sig_of(p, graphs) -> ResidualSignature:
-    table = EmbeddingTable({g.id: find_embeddings(p, g) for g in graphs})
+    table = EmbeddingTable({g.id: table_entries(g, find_embeddings(p, g)) for g in graphs})
     return residual_signature(table, graphs)
 
 
@@ -121,12 +121,13 @@ class TestResidualSignature:
             p = embedded_pattern(rng, graphs[0], max_edges=3)
             if p is None:
                 continue
-            table = EmbeddingTable({g.id: find_embeddings(p, g) for g in graphs})
+            matches = {g.id: find_embeddings(p, g) for g in graphs}
+            table = EmbeddingTable({g.id: table_entries(g, matches[g.id]) for g in graphs})
             sig = residual_signature(table, graphs)
             union = set()
             for g in graphs:
                 if table.entries[g.id]:
-                    cutoff = min(e.max_data_time for e in table.entries[g.id])
+                    cutoff = min(e.max_data_time for e in matches[g.id])
                     union |= {g.labels[v] for e in g.edges if e.t > cutoff for v in (e.src, e.dst)}
             assert label_union(sig) == union
             for _ in range(5):
@@ -138,8 +139,8 @@ class TestResidualSignature:
 
     def test_inexact_when_truncated(self):
         g = validate("g", ["A", "B"], [(0, 1, 1), (0, 1, 2)])
-        table = EmbeddingTable({"g": find_embeddings(canonical_pattern(["A", "B"], [(0, 1, 1)]), g)},
-                               truncated=frozenset({"g"}))
+        matches = find_embeddings(canonical_pattern(["A", "B"], [(0, 1, 1)]), g)
+        table = EmbeddingTable({"g": table_entries(g, matches)}, truncated=frozenset({"g"}))
         assert not residual_signature(table, [g]).exact
 
 
