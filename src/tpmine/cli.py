@@ -213,11 +213,13 @@ def _cmd_verify(args) -> int:
     budget = oracle.OracleBudget(wall_seconds=args.budget_seconds)
     failures = 0
     for qi, (q, meta) in enumerate(zip(queries, report["patterns"])):
+        want_p, want_n, want_score = (datakit.json_value(meta, k, what=f"report pattern {qi}")
+                                      for k in ("freqP", "freqN", "score"))
         fp = oracle.oracle_frequency(q, positives, freq_budget)
         fn = oracle.oracle_frequency(q, negatives, freq_budget)
-        ok = abs(fp - meta["freqP"]) < 1e-9 and abs(fn - meta["freqN"]) < 1e-9
+        ok = abs(fp - want_p) < 1e-9 and abs(fn - want_n) < 1e-9
         recomputed = score.score(fp, fn)
-        ok = ok and abs(recomputed - meta["score"]) < 1e-9
+        ok = ok and abs(recomputed - want_score) < 1e-9
         print(f"query {qi}: freqP {fp:.4f} freqN {fn:.4f} score {recomputed:.6f} "
               f"{'OK' if ok else 'MISMATCH'}")
         failures += 0 if ok else 1

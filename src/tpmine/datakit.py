@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .graphs import DuplicateTimestamp, TemporalEdge, TemporalGraph, TemporalPattern, validate
+from .graphs import (TemporalEdge, TemporalGraph, TemporalPattern, TieRejected, ordered_columns,
+                     validate, validate_columns)
 from .matcher import GroundTruth
 from .miner import MiningConfig, MiningResult
 from .scoring import GTest, InfoGain, LogRatio, ScoreFunction, ScoredPattern, make_score_function
@@ -37,10 +38,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-
-
-class TieRejected(DuplicateTimestamp):
-    pass
 
 
 class SpecInvalid(ValueError):
@@ -58,23 +55,9 @@ def sequentialize_ties(
     ``reject`` raises TieRejected on the first duplicate.  ``inputOrder``
     stably sorts by timestamp (ties keep file order) and bumps timestamps
     minimally upward, so all non-tied order relations are preserved and the
-    result is strictly increasing.
+    result is strictly increasing.  See ``graphs.ordered_columns``.
     """
-    if policy not in ("reject", "inputOrder"):
-        raise ValueError(f"unknown tie policy {policy!r}")
-    ordered = sorted(events, key=lambda ev: ev[2])
-    if policy == "reject":
-        for a, b in zip(ordered, ordered[1:]):
-            if a[2] == b[2]:
-                raise TieRejected(f"events share timestamp {a[2]} under the reject policy")
-        return ordered
-    out: list[tuple[int, int, int]] = []
-    prev = -1
-    for src, dst, t in ordered:
-        t = max(t, prev + 1)
-        out.append((src, dst, t))
-        prev = t
-    return out
+    return list(zip(*ordered_columns(*(tuple(zip(*events)) or ((), (), ())), policy)))
 
 
 def parse_dataset(
@@ -82,69 +65,88 @@ def parse_dataset(
     tie_policy: str = "reject",
     allow_self_loops: bool = False,
 ) -> list[tuple[str, TemporalGraph]]:
-    """Parse a dataset document into (role, graph) pairs, in file order."""
+    """Parse a dataset document into (role, graph) pairs, in file order; each graph's edge
+    columns are ordered and checked once, at its end, by ``graphs.validate_columns``."""
     graphs: list[tuple[str, TemporalGraph]] = []
     seen_ids: set[str] = set()
     gid: Optional[str] = None
     role = ""
     labels: list[str] = []
-    edges: list[tuple[int, int, int]] = []
+    srcs, dsts, ts = [], [], []  # edge columns, in file order
+    checked = 0  # edges of the current graph already checked against its declared nodes
     start_line = 0
+    lines = text.splitlines()
+
+    def check_endpoints():
+        """Edges not yet checked must name nodes declared before them, at their own 'e' line."""
+        nonlocal checked
+        n, s, d = len(labels), srcs[checked:], dsts[checked:]
+        if s and (min(s) < 0 or min(d) < 0 or max(s) >= n or max(d) >= n):
+            k = checked + next(k for k, (a, b) in enumerate(zip(s, d)) if not (0 <= a < n and 0 <= b < n))
+            e_lines = [i + 1 for i in range(start_line, len(lines)) if lines[i].split()[:1] == ["e"]]
+            raise ParseError(f"edge endpoint outside declared nodes 0..{n - 1}", e_lines[k])
+        checked = len(srcs)
 
     def flush(line: int):
         if gid is None:
             return
+        check_endpoints()
         try:
-            ordered = sequentialize_ties(edges, tie_policy)
-            graphs.append((role, validate(gid, labels, ordered, allow_self_loops)))
-        except TieRejected:
-            raise
+            graphs.append((role, validate_columns(gid, labels, srcs, dsts, ts, allow_self_loops, tie_policy)))
+        except TieRejected as exc:
+            raise TieRejected(f"line {line}: graph {gid!r} (started line {start_line}): {exc}") from None
         except ValueError as exc:
             raise ParseError(f"graph {gid!r} (started line {start_line}): {exc}", line) from exc
 
     lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        tag = parts[0]
-        if tag == "g":
-            flush(lineno - 1)
-            if len(parts) != 3 or parts[2] not in ROLES:
-                raise ParseError("expected 'g <id> <positive|negative|test>'", lineno)
-            gid, role = parts[1], parts[2]
-            if gid in seen_ids:
-                raise ParseError(f"duplicate graph id {gid!r}", lineno)
-            seen_ids.add(gid)
-            labels, edges = [], []
-            start_line = lineno
-        elif tag == "v":
-            if gid is None:
-                raise ParseError("'v' line before any 'g' line", lineno)
-            if len(parts) != 3:
-                raise ParseError("expected 'v <nodeIndex> <label>'", lineno)
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise ParseError(f"node index {parts[1]!r} is not an integer", lineno) from None
-            if idx != len(labels):
-                raise ParseError(f"node index {idx} is not dense (expected {len(labels)})", lineno)
-            labels.append(parts[2])
-        elif tag == "e":
-            if gid is None:
-                raise ParseError("'e' line before any 'g' line", lineno)
-            if len(parts) != 4:
-                raise ParseError("expected 'e <src> <dst> <t>'", lineno)
-            try:
-                src, dst, t = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("edge fields must be integers", lineno) from None
-            if src >= len(labels) or dst >= len(labels) or src < 0 or dst < 0:
-                raise ParseError(f"edge endpoint outside declared nodes 0..{len(labels) - 1}", lineno)
-            edges.append((src, dst, t))
-        else:
-            raise ParseError(f"unknown record type {tag!r}", lineno)
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            parts = raw.split()
+            if not parts:
+                continue
+            tag = parts[0]
+            if tag == "e":
+                if gid is None:
+                    raise ParseError("'e' line before any 'g' line", lineno)
+                if len(parts) != 4:
+                    raise ParseError("expected 'e <src> <dst> <t>'", lineno)
+                try:
+                    src, dst, t = int(parts[1]), int(parts[2]), int(parts[3])
+                except ValueError:
+                    raise ParseError("edge fields must be integers", lineno) from None
+                srcs.append(src)
+                dsts.append(dst)
+                ts.append(t)
+            elif tag == "v":
+                if gid is None:
+                    raise ParseError("'v' line before any 'g' line", lineno)
+                if srcs:
+                    check_endpoints()
+                if len(parts) != 3:
+                    raise ParseError("expected 'v <nodeIndex> <label>'", lineno)
+                try:
+                    idx = int(parts[1])
+                except ValueError:
+                    raise ParseError(f"node index {parts[1]!r} is not an integer", lineno) from None
+                if idx != len(labels):
+                    raise ParseError(f"node index {idx} is not dense (expected {len(labels)})", lineno)
+                labels.append(parts[2])
+            elif tag == "g":
+                flush(lineno - 1)
+                if len(parts) != 3 or parts[2] not in ROLES:
+                    raise ParseError("expected 'g <id> <positive|negative|test>'", lineno)
+                gid, role = parts[1], parts[2]
+                if gid in seen_ids:
+                    raise ParseError(f"duplicate graph id {gid!r}", lineno)
+                seen_ids.add(gid)
+                labels, srcs, dsts, ts = [], [], [], []
+                checked = 0
+                start_line = lineno
+            elif not tag.startswith("#"):
+                raise ParseError(f"unknown record type {tag!r}", lineno)
+    except ParseError:
+        check_endpoints()  # an earlier 'e' line's endpoint error comes first
+        raise
     flush(lineno)
     return graphs
 
@@ -168,8 +170,7 @@ def dump_dataset(graphs: Iterable[tuple[str, TemporalGraph]]) -> str:
         lines.append(f"g {g.id} {role}")
         for i, lab in enumerate(g.labels):
             lines.append(f"v {i} {lab}")
-        for e in g.edges:
-            lines.append(f"e {e.src} {e.dst} {e.t}")
+        lines.extend(f"e {src} {dst} {t}" for src, dst, t in zip(g.srcs, g.dsts, g.timestamps))
     return "\n".join(lines) + "\n"
 
 
@@ -185,7 +186,7 @@ def replicate(graphs: Sequence[TemporalGraph], k: int) -> list[TemporalGraph]:
     for g in graphs:
         out.append(g)
         for i in range(1, k):
-            out.append(TemporalGraph(f"{g.id}~{i}", g.labels, g.edges))
+            out.append(TemporalGraph.from_columns(f"{g.id}~{i}", g.labels, g.srcs, g.dsts, g.timestamps))
     return out
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, islice
+from operator import eq, lt
 from typing import Iterable, Mapping, Optional, Sequence
 
 MAX_TIMESTAMP = 2**63 - 1
@@ -24,6 +26,10 @@ class GraphError(ValueError):
 
 class DuplicateTimestamp(GraphError):
     pass
+
+
+class TieRejected(DuplicateTimestamp):
+    """Events share a timestamp under the ``reject`` tie policy."""
 
 
 class DanglingEndpoint(GraphError):
@@ -63,20 +69,29 @@ def _frozen(groups: dict) -> dict:
 class TemporalGraph:
     """Labeled directed temporal multigraph.
 
-    Nodes are dense integer indices 0..n-1; ``labels[i]`` is the label of
-    node i.  Edges are stored sorted by strictly increasing timestamp.
-    Instances are immutable after construction and safe to share between
-    threads; derived structures (adjacency, degree profiles, sequence
-    encodings) are computed lazily and cached.
+    Nodes are dense integer indices 0..n-1; ``labels[i]`` is the label of node
+    i.  Edge k runs from ``srcs[k]`` to ``dsts[k]`` at ``timestamps[k]``, in strictly
+    increasing time: tuples of ints, which the garbage collector does not track.
+    Instances are immutable and safe to share between threads; derived structures
+    (adjacency, degree profiles, sequence encodings) are computed lazily and cached.
     """
 
-    __slots__ = ("id", "labels", "edges", "_cache")
+    __slots__ = ("id", "labels", "srcs", "dsts", "timestamps", "_cache")
 
-    def __init__(self, graph_id: str, labels: Sequence[str], edges: Sequence[TemporalEdge]):
-        self.id = graph_id
-        self.labels = tuple(sys.intern(l) for l in labels)
-        self.edges = tuple(edges)
-        self._cache: dict = {}
+    def __init__(self, graph_id: str, labels: Sequence[str], edges: Iterable[TemporalEdge]):
+        columns = tuple(zip(*((e.src, e.dst, e.t) for e in edges))) or ((), (), ())
+        self._fill(graph_id, labels, *columns)
+
+    @classmethod
+    def from_columns(cls, graph_id: str, labels: Sequence[str], srcs: tuple, dsts: tuple, timestamps: tuple):
+        """A graph over edge columns (tuples of ints) already in strictly increasing time order."""
+        g = cls.__new__(cls)
+        g._fill(graph_id, labels, srcs, dsts, timestamps)
+        return g
+
+    def _fill(self, graph_id, labels, srcs, dsts, timestamps) -> None:
+        self.id, self.labels, self._cache = graph_id, tuple(map(sys.intern, labels)), {}
+        self.srcs, self.dsts, self.timestamps = srcs, dsts, timestamps
 
     @property
     def n_nodes(self) -> int:
@@ -84,15 +99,15 @@ class TemporalGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.srcs)
 
     @property
-    def timestamps(self) -> tuple[int, ...]:
-        ts = self._cache.get("timestamps")
-        if ts is None:
-            ts = tuple(e.t for e in self.edges)
-            self._cache["timestamps"] = ts
-        return ts
+    def edges(self) -> tuple[TemporalEdge, ...]:
+        """TemporalEdge objects, built on first use and cached; mining and matching read the columns."""
+        edges = self._cache.get("edges")
+        if edges is None:
+            edges = self._cache["edges"] = tuple(map(TemporalEdge, self.srcs, self.dsts, self.timestamps))
+        return edges
 
     def edges_after(self, t: int) -> int:
         """Number of edges with timestamp strictly greater than t."""
@@ -109,8 +124,7 @@ class TemporalGraph:
             by_src: dict[int, list[int]] = {}
             by_dst: dict[int, list[int]] = {}
             by_pair: dict[tuple[int, int], list[int]] = {}
-            for pos, e in enumerate(self.edges):
-                src, dst = e.src, e.dst
+            for pos, (src, dst) in enumerate(zip(self.srcs, self.dsts)):
                 by_src.setdefault(src, []).append(pos)
                 by_dst.setdefault(dst, []).append(pos)
                 by_pair.setdefault((src, dst), []).append(pos)
@@ -122,9 +136,9 @@ class TemporalGraph:
         last = self._cache.get("last_label_positions")
         if last is None:
             last = {}
-            for pos, e in enumerate(self.edges):
-                last[self.labels[e.src]] = pos
-                last[self.labels[e.dst]] = pos
+            for pos, (src, dst) in enumerate(zip(self.srcs, self.dsts)):
+                last[self.labels[src]] = pos
+                last[self.labels[dst]] = pos
             self._cache["last_label_positions"] = last
         return last
 
@@ -134,8 +148,8 @@ class TemporalGraph:
         if idx is None:
             labels = self.labels
             lists: dict[tuple[str, str], list[int]] = {}
-            for i, e in enumerate(self.edges):
-                lists.setdefault((labels[e.src], labels[e.dst]), []).append(i)
+            for i, (src, dst) in enumerate(zip(self.srcs, self.dsts)):
+                lists.setdefault((labels[src], labels[dst]), []).append(i)
             idx = self._cache["label_pair_index"] = _frozen(lists)
         return idx
 
@@ -148,13 +162,13 @@ class TemporalGraph:
             outdeg = [0] * n
             innbr: list[dict[str, int]] = [dict() for _ in range(n)]
             outnbr: list[dict[str, int]] = [dict() for _ in range(n)]
-            for e in self.edges:
-                outdeg[e.src] += 1
-                indeg[e.dst] += 1
-                dl = self.labels[e.dst]
-                sl = self.labels[e.src]
-                outnbr[e.src][dl] = outnbr[e.src].get(dl, 0) + 1
-                innbr[e.dst][sl] = innbr[e.dst].get(sl, 0) + 1
+            for src, dst in zip(self.srcs, self.dsts):
+                outdeg[src] += 1
+                indeg[dst] += 1
+                dl = self.labels[dst]
+                sl = self.labels[src]
+                outnbr[src][dl] = outnbr[src].get(dl, 0) + 1
+                innbr[dst][sl] = innbr[dst].get(sl, 0) + 1
             prof = (tuple(indeg), tuple(outdeg), tuple(innbr), tuple(outnbr))
             self._cache["degree_profile"] = prof
         return prof
@@ -189,16 +203,15 @@ class TemporalPattern(TemporalGraph):
     def key(self) -> tuple:
         k = self._cache.get("key")
         if k is None:
-            k = (self.labels, tuple((e.src, e.dst) for e in self.edges))
+            k = (self.labels, tuple(zip(self.srcs, self.dsts)))
             self._cache["key"] = k
         return k
 
     def text(self) -> str:
         """Canonical one-line rendering, usable as a deterministic sort key."""
-        parts = []
-        for e in self.edges:
-            parts.append(f"{e.src}:{self.labels[e.src]}->{e.dst}:{self.labels[e.dst]}@{e.t}")
-        return ";".join(parts)
+        labels = self.labels
+        return ";".join(f"{s}:{labels[s]}->{d}:{labels[d]}@{t}"
+                        for s, d, t in zip(self.srcs, self.dsts, self.timestamps))
 
     def __repr__(self):
         return f"TemporalPattern({self.text()!r})"
@@ -223,36 +236,63 @@ class Embedding:
         return self.times[-1] if self.times else -1
 
 
+def ordered_columns(srcs: Sequence[int], dsts: Sequence[int], timestamps: Sequence[int],
+                    tie_policy: str = "reject") -> tuple[tuple, tuple, tuple]:
+    """Edge columns as tuples in time order, sorted (stably) only when not strictly increasing.
+
+    ``reject`` raises TieRejected on the first shared timestamp; ``inputOrder``
+    keeps tied events in input order and bumps timestamps minimally upward from 0.
+    """
+    if tie_policy not in ("reject", "inputOrder"):
+        raise ValueError(f"unknown tie policy {tie_policy!r}")
+    ts = timestamps
+    if not all(map(lt, ts, islice(ts, 1, None))):
+        order = sorted(range(len(ts)), key=ts.__getitem__)
+        srcs, dsts, ts = ([col[i] for i in order] for col in (srcs, dsts, ts))
+        if tie_policy == "reject" and not all(map(lt, ts, islice(ts, 1, None))):
+            t = next(a for a, b in zip(ts, islice(ts, 1, None)) if a == b)
+            raise TieRejected(f"events share timestamp {t} under the reject policy")
+    if tie_policy == "inputOrder":
+        ts = list(accumulate(ts, lambda prev, t: max(t, prev + 1), initial=-1))[1:]
+    return tuple(srcs), tuple(dsts), tuple(ts)
+
+
+def validate_columns(graph_id: str, labels: Sequence[str], srcs: Sequence[int], dsts: Sequence[int],
+                     timestamps: Sequence[int], allow_self_loops: bool = False,
+                     tie_policy: str = "reject") -> TemporalGraph:
+    """A validated TemporalGraph from node labels and edge columns in any time order.
+
+    Whole columns are checked with builtins after :func:`ordered_columns`; a per-edge loop
+    runs only to name the first offending edge.  Raises TieRejected, EmptyLabel,
+    DanglingEndpoint, SelfLoop (unless allow_self_loops) or GraphError."""
+    srcs, dsts, ts = ordered_columns(srcs, dsts, timestamps, tie_policy)
+    if not all(labels):
+        raise EmptyLabel(f"graph {graph_id}: node {list(map(bool, labels)).index(False)} has an empty label")
+    n = len(labels)
+    if srcs and (min(srcs) < 0 or min(dsts) < 0 or max(srcs) >= n or max(dsts) >= n
+                 or ts[0] < 0 or ts[-1] > MAX_TIMESTAMP
+                 or (not allow_self_loops and any(map(eq, srcs, dsts)))):
+        for src, dst, t in zip(srcs, dsts, ts):
+            if not (0 <= src < n) or not (0 <= dst < n):
+                raise DanglingEndpoint(
+                    f"graph {graph_id}: edge ({src},{dst},{t}) has an endpoint outside 0..{n - 1}")
+            if src == dst and not allow_self_loops:
+                raise SelfLoop(f"graph {graph_id}: self-loop on node {src} at t={t}")
+            if not (0 <= t <= MAX_TIMESTAMP):
+                raise GraphError(f"graph {graph_id}: timestamp {t} outside the supported range")
+    return TemporalGraph.from_columns(graph_id, labels, srcs, dsts, ts)
+
+
 def validate(
     graph_id: str,
     labels: Sequence[str],
     edges: Iterable[tuple[int, int, int]],
     allow_self_loops: bool = False,
 ) -> TemporalGraph:
-    """Build a validated TemporalGraph from raw node labels and (src, dst, t) triples.
-
-    Edges are sorted by timestamp.  Raises DuplicateTimestamp, DanglingEndpoint,
-    SelfLoop (unless allow_self_loops) or EmptyLabel on invariant violations.
-    """
-    labels = list(labels)
-    for i, lab in enumerate(labels):
-        if not lab:
-            raise EmptyLabel(f"graph {graph_id}: node {i} has an empty label")
-    n = len(labels)
-    built = []
-    for src, dst, t in edges:
-        if not (0 <= src < n) or not (0 <= dst < n):
-            raise DanglingEndpoint(f"graph {graph_id}: edge ({src},{dst},{t}) has an endpoint outside 0..{n - 1}")
-        if src == dst and not allow_self_loops:
-            raise SelfLoop(f"graph {graph_id}: self-loop on node {src} at t={t}")
-        if not (0 <= t <= MAX_TIMESTAMP):
-            raise GraphError(f"graph {graph_id}: timestamp {t} outside the supported range")
-        built.append(TemporalEdge(src, dst, t))
-    built.sort(key=lambda e: e.t)
-    for a, b in zip(built, built[1:]):
-        if a.t == b.t:
-            raise DuplicateTimestamp(f"graph {graph_id}: two edges share timestamp {a.t}")
-    return TemporalGraph(graph_id, labels, built)
+    """Build a validated TemporalGraph from raw node labels and (src, dst, t) triples, as
+    :func:`validate_columns` does (TieRejected is a DuplicateTimestamp)."""
+    srcs, dsts, ts = tuple(zip(*edges)) or ((), (), ())
+    return validate_columns(graph_id, list(labels), srcs, dsts, ts, allow_self_loops)
 
 
 def is_t_connected(g: TemporalGraph) -> bool:
@@ -312,17 +352,15 @@ def patterns_equal(p1: TemporalPattern, p2: TemporalPattern) -> Optional[Embeddi
         rev[v] = u
         return True
 
-    for e1, e2 in zip(p1.edges, p2.edges):
-        if e1.t != e2.t:
-            return None
-        if not bind(e1.src, e2.src) or not bind(e1.dst, e2.dst):
+    if p1.timestamps != p2.timestamps:
+        return None
+    for s1, d1, s2, d2 in zip(p1.srcs, p1.dsts, p2.srcs, p2.dsts):
+        if not bind(s1, s2) or not bind(d1, d2):
             return None
     if len(fwd) != p1.n_nodes:
         # Isolated nodes never occur in valid patterns, but guard anyway.
         return None
-    times = tuple(e.t for e in p2.edges)
-    nodes = tuple(fwd[i] for i in range(p1.n_nodes))
-    return Embedding(nodes, times)
+    return Embedding(tuple(fwd[i] for i in range(p1.n_nodes)), p2.timestamps)
 
 
 def canonical_pattern(
@@ -380,9 +418,7 @@ def verify_embedding(p: TemporalPattern, g: TemporalGraph, emb: Embedding) -> bo
             return False
     if any(a >= b for a, b in zip(emb.times, emb.times[1:])):
         return False
-    data_edges = {(e.src, e.dst, e.t) for e in g.edges}
-    for e in p.edges:
-        mapped = (emb.nodes[e.src], emb.nodes[e.dst], emb.times[e.t - 1])
-        if mapped not in data_edges:
-            return False
-    return True
+    data_edges = set(zip(g.srcs, g.dsts, g.timestamps))
+    nodes, times = emb.nodes, emb.times
+    return all((nodes[s], nodes[d], times[t - 1]) in data_edges
+               for s, d, t in zip(p.srcs, p.dsts, p.timestamps))

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Embedding, TemporalEdge, TemporalGraph, TemporalPattern
+from .graphs import Embedding, TemporalGraph, TemporalPattern
 
 
 class InvalidExtension(ValueError):
@@ -56,7 +56,7 @@ class Extension:
         )
 
 
-# One match: (data node per pattern node, position in g.edges of the match's last edge).
+# One match: (data node per pattern node, edge position in g of the match's last edge).
 Entry = tuple[tuple[int, ...], int]
 
 
@@ -113,19 +113,19 @@ def grow(p: TemporalPattern, x: Extension) -> TemporalPattern:
     if x.kind == "seed":
         if p.n_edges != 0 or not x.src_label or not x.dst_label:
             raise InvalidExtension(f"seed extension not applicable: {x}")
-        return TemporalPattern(p.id, (x.src_label, x.dst_label), (TemporalEdge(0, 1, 1),))
+        return TemporalPattern.from_columns(p.id, (x.src_label, x.dst_label), (0,), (1,), (1,))
     if p.n_edges == 0:
         raise InvalidExtension("only seed extensions can grow the empty pattern")
     if x.kind == "forward":
         if x.src is None or not (0 <= x.src < n) or not x.dst_label:
             raise InvalidExtension(f"bad forward extension {x} for {n}-node pattern")
         labels.append(x.dst_label)
-        edge = TemporalEdge(x.src, n, t)
+        src, dst = x.src, n
     elif x.kind == "backward":
         if x.dst is None or not (0 <= x.dst < n) or not x.src_label:
             raise InvalidExtension(f"bad backward extension {x} for {n}-node pattern")
         labels.append(x.src_label)
-        edge = TemporalEdge(n, x.dst, t)
+        src, dst = n, x.dst
     elif x.kind == "inward":
         if (
             x.src is None
@@ -135,10 +135,10 @@ def grow(p: TemporalPattern, x: Extension) -> TemporalPattern:
             or x.src == x.dst
         ):
             raise InvalidExtension(f"bad inward extension {x} for {n}-node pattern")
-        edge = TemporalEdge(x.src, x.dst, t)
+        src, dst = x.src, x.dst
     else:
         raise InvalidExtension(f"unknown extension kind {x.kind!r}")
-    return TemporalPattern(p.id, labels, p.edges + (edge,))
+    return TemporalPattern.from_columns(p.id, labels, p.srcs + (src,), p.dsts + (dst,), p.timestamps + (t,))
 
 
 def _extension(key: tuple) -> Extension:
@@ -181,7 +181,7 @@ def expand(
         parents = table.entries.get(g.id)
         if not parents:
             continue
-        gid, labels, edges = g.id, g.labels, g.edges
+        gid, labels, srcs, dsts = g.id, g.labels, g.srcs, g.dsts
         by_src, by_dst, _ = g.edge_index()
         for nodes, last in parents:
             start = last + 1
@@ -189,29 +189,28 @@ def expand(
                 for (sl, dl), positions in g.label_pair_index().items():
                     for j in range(bisect_left(positions, start), len(positions)):
                         pos = positions[j]
-                        e = edges[pos]
-                        if e.src != e.dst:
-                            add((0, -1, -1, sl, dl), gid, ((e.src, e.dst), pos))
+                        if srcs[pos] != dsts[pos]:
+                            add((0, -1, -1, sl, dl), gid, ((srcs[pos], dsts[pos]), pos))
                 continue
             inverse = {dn: i for i, dn in enumerate(nodes)}
             for i, v in enumerate(nodes):
                 out_edges = by_src.get(v, ())
                 for j in range(bisect_left(out_edges, start), len(out_edges)):
                     pos = out_edges[j]
-                    e = edges[pos]
-                    if e.dst == v:
+                    dst = dsts[pos]
+                    if dst == v:
                         continue
-                    di = inverse.get(e.dst)
+                    di = inverse.get(dst)
                     if di is None:
-                        add((1, i, -1, "", labels[e.dst]), gid, (nodes + (e.dst,), pos))
+                        add((1, i, -1, "", labels[dst]), gid, (nodes + (dst,), pos))
                     else:
                         add((3, i, di, "", ""), gid, (nodes, pos))
                 in_edges = by_dst.get(v, ())
                 for j in range(bisect_left(in_edges, start), len(in_edges)):
                     pos = in_edges[j]
-                    e = edges[pos]
-                    if e.src not in inverse:
-                        add((2, -1, i, labels[e.src], ""), gid, (nodes + (e.src,), pos))
+                    src = srcs[pos]
+                    if src not in inverse:
+                        add((2, -1, i, labels[src], ""), gid, (nodes + (src,), pos))
     result: dict[Extension, EmbeddingTable] = {}
     for key in sorted(entries):
         bad = truncated.get(key, set())

@@ -64,17 +64,17 @@ def encode(g: TemporalGraph) -> tuple[NodeSeq, EdgeSeq, EnhSeq]:
     edge_entries: list[tuple[int, int]] = []
     enh_entries: list[tuple[int, str]] = []
     prev_src: Optional[int] = None
-    for e in g.edges:
-        for v in (e.src, e.dst):
+    for src, dst in zip(g.srcs, g.dsts):
+        for v in (src, dst):
             if v not in seen:
                 seen.add(v)
                 node_entries.append((v, g.labels[v]))
-        edge_entries.append((e.src, e.dst))
+        edge_entries.append((src, dst))
         last_added = enh_entries[-1][0] if enh_entries else None
-        if e.src != last_added and e.src != prev_src:
-            enh_entries.append((e.src, g.labels[e.src]))
-        enh_entries.append((e.dst, g.labels[e.dst]))
-        prev_src = e.src
+        if src != last_added and src != prev_src:
+            enh_entries.append((src, g.labels[src]))
+        enh_entries.append((dst, g.labels[dst]))
+        prev_src = src
     result = (NodeSeq(tuple(node_entries)), EdgeSeq(tuple(edge_entries)), EnhSeq(tuple(enh_entries)))
     g._cache["sequences"] = result
     return result
@@ -269,7 +269,7 @@ def temporal_subgraph_test(
         if positions is None:
             return False
         nodes = tuple(fmap[i] for i in range(p.n_nodes))
-        times = tuple(g.edges[pos].t for pos in positions)
+        times = tuple(g.timestamps[pos] for pos in positions)
         found.append(Embedding(nodes, times))
         return True
 
@@ -292,12 +292,12 @@ def _fitting_edges(g: TemporalGraph, plabels: Sequence[str], ps: int, pd: int, f
         cands = g.label_pair_index().get((plabels[ps], plabels[pd]), ())
     loop = ps == pd
     check_dst = dd < 0 and not loop
-    edges, times, glabels = g.edges, g.timestamps, g.labels
+    srcs, dsts, times, glabels = g.srcs, g.dsts, g.timestamps, g.labels
     for i in range(bisect_right(cands, after), len(cands)):
         pos = cands[i]
         if times[pos] > horizon:
             return
-        src, dst = edges[pos].src, edges[pos].dst
+        src, dst = srcs[pos], dsts[pos]
         if (src == dst) != loop:
             continue
         if ds < 0 and (src in fwd or glabels[src] != plabels[ps]):
@@ -330,12 +330,13 @@ def find_embeddings(
     if p.n_nodes == 0:
         return [Embedding((), ())]
     plabels = p.labels
-    pedges = [(e.src, e.dst) for e in p.edges]
+    pedges = list(zip(p.srcs, p.dsts))
     by_label = g.label_pair_index()
     if (p.n_edges > g.n_edges or p.n_nodes > g.n_nodes
             or any((plabels[s], plabels[d]) not in by_label for s, d in pedges)):
         return []
     m = len(pedges)
+    srcs, dsts, times = g.srcs, g.dsts, g.timestamps
     fwd = [-1] * p.n_nodes  # data node per pattern node, -1 while unmapped
     chosen = [0] * m  # data time per pattern edge
     out: list[Embedding] = []
@@ -344,14 +345,13 @@ def find_embeddings(
         ps, pd = pedges[k]
         unbound = fwd[ps], fwd[pd]
         for pos in _fitting_edges(g, plabels, ps, pd, fwd, after, horizon):
-            e = g.edges[pos]
-            fwd[ps], fwd[pd] = e.src, e.dst
-            chosen[k] = e.t
+            fwd[ps], fwd[pd] = srcs[pos], dsts[pos]
+            t = chosen[k] = times[pos]
             if k + 1 == m:
                 out.append(Embedding(tuple(fwd), tuple(chosen)))
                 stop = limit is not None and len(out) >= limit
             else:
-                stop = rec(k + 1, pos, e.t + window if k == 0 and window else horizon)
+                stop = rec(k + 1, pos, t + window if k == 0 and window else horizon)
             fwd[ps], fwd[pd] = unbound
             if stop:
                 return True
@@ -363,11 +363,10 @@ def find_embeddings(
 
 def first_extension(p: TemporalPattern, g: TemporalGraph, prefix: Embedding) -> Optional[Embedding]:
     """Earliest match of p in g extending ``prefix``, a match of p without its last edge."""
-    e = p.edges[-1]
+    ps, pd = p.srcs[-1], p.dsts[-1]
     fwd = list(prefix.nodes) + [-1] * (p.n_nodes - len(prefix.nodes))
     after = bisect_right(g.timestamps, prefix.max_data_time) - 1
-    for pos in _fitting_edges(g, p.labels, e.src, e.dst, fwd, after, float("inf")):
-        d = g.edges[pos]
-        fwd[e.src], fwd[e.dst] = d.src, d.dst
-        return Embedding(tuple(fwd), prefix.times + (d.t,))
+    for pos in _fitting_edges(g, p.labels, ps, pd, fwd, after, float("inf")):
+        fwd[ps], fwd[pd] = g.srcs[pos], g.dsts[pos]
+        return Embedding(tuple(fwd), prefix.times + (g.timestamps[pos],))
     return None

@@ -217,6 +217,15 @@ def test_data_error_exit_code(tmp_path):
     assert main(["stats", "--in", str(bad)]) == 2
 
 
+def test_tie_rejection_names_graph_and_line(tmp_path, capsys):
+    ties = tmp_path / "ties.tg"
+    ties.write_text("g ok positive\nv 0 A\nv 1 B\ne 0 1 5\ng p positive\nv 0 A\nv 1 B\ne 0 1 5\ne 1 0 5\n")
+    capsys.readouterr()
+    assert main(["stats", "--in", str(ties)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 9: graph 'p' (started line 5): events share timestamp 5 under the reject policy"]
+
+
 def test_missing_file_is_data_error(tmp_path):
     assert main([
         "mine",
@@ -245,6 +254,9 @@ def test_determinism_across_runs(workspace, tmp_path):
     (("config",), False, "config"),
     (("config", "score"), False, "config.score"),
     (("config", "maxEdges"), True, "config.maxEdges"),
+    (("patterns", 0, "freqP"), False, "freqP"),
+    (("patterns", 0, "freqN"), False, "freqN"),
+    (("patterns", 0, "score"), False, "score"),
 ])
 def test_verify_incomplete_report_is_data_error(workspace, tmp_path, capsys, drop, exhaustive, key):
     data = workspace / "data"

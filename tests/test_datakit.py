@@ -1,6 +1,8 @@
 """Dataset format round-trips, tie policies, replication, and the generator."""
 
+import gc
 import random
+import re
 
 import pytest
 
@@ -16,10 +18,12 @@ from tpmine.datakit import (
     parse_dataset,
     preset_spec,
     replicate,
+    save_dataset,
     score_fn_from_dict,
     sequentialize_ties,
 )
-from tpmine.graphs import pattern_of, validate
+from tpmine.graphs import MAX_TIMESTAMP, pattern_of, validate
+from tpmine.matcher import find_instances
 from tpmine.miner import MiningConfig, mine
 from tpmine.oracle import oracle_subgraph_test
 from tpmine.scoring import GTest, InfoGain, LogRatio
@@ -83,6 +87,121 @@ class TestFormat:
         assert [g.id for g in tests] == ["t"]
 
 
+def _reference_parse(text, tie_policy, allow_self_loops):
+    """Line-by-line reference parser: (role, id, labels, [(src, dst, t)]) per graph.
+
+    Errors come out as (error type, line number): a line error names its
+    line, a graph error (tie, self-loop, timestamp range) the graph's last line.
+    """
+    out, seen, state = [], set(), {"gid": None}
+
+    class Failed(Exception):
+        pass
+
+    def fail(kind, line):
+        raise Failed(kind, line)
+
+    def flush(line):
+        if state["gid"] is None:
+            return
+        ordered = sorted(state["edges"], key=lambda e: e[2])
+        if tie_policy == "reject":
+            if any(a[2] == b[2] for a, b in zip(ordered, ordered[1:])):
+                fail(TieRejected, line)
+        else:
+            bumped, prev = [], -1
+            for src, dst, t in ordered:
+                prev = max(t, prev + 1)
+                bumped.append((src, dst, prev))
+            ordered = bumped
+        for src, dst, t in ordered:
+            if (src == dst and not allow_self_loops) or not 0 <= t <= MAX_TIMESTAMP:
+                fail(ParseError, line)
+        out.append((state["role"], state["gid"], state["labels"], ordered))
+
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            tag, labels = parts[0], state.get("labels")
+            if tag == "g":
+                flush(lineno - 1)
+                if len(parts) != 3 or parts[2] not in ("positive", "negative", "test") or parts[1] in seen:
+                    fail(ParseError, lineno)
+                seen.add(parts[1])
+                state.update(gid=parts[1], role=parts[2], labels=[], edges=[])
+            elif tag == "v":
+                if state["gid"] is None or len(parts) != 3 or not re.fullmatch(r"[+-]?\d+", parts[1]):
+                    fail(ParseError, lineno)
+                if int(parts[1]) != len(labels):
+                    fail(ParseError, lineno)
+                labels.append(parts[2])
+            elif tag == "e":
+                if state["gid"] is None or len(parts) != 4:
+                    fail(ParseError, lineno)
+                if not all(re.fullmatch(r"[+-]?\d+", f) for f in parts[1:]):
+                    fail(ParseError, lineno)
+                src, dst, t = map(int, parts[1:])
+                if not (0 <= src < len(labels) and 0 <= dst < len(labels)):
+                    fail(ParseError, lineno)
+                state["edges"].append((src, dst, t))
+            else:
+                fail(ParseError, lineno)
+        flush(lineno)
+    except Failed as exc:
+        return exc.args
+    return out
+
+
+def _random_document(rng):
+    """Small dataset text with unsorted edges, ties, self-loops, comments, blanks and late 'v' lines,
+    plus at most two malformed lines."""
+    lines = []
+    for gi in range(rng.randint(1, 3)):
+        lines.append(f"g g{gi} {rng.choice(['positive', 'negative', 'test'])}")
+        n = rng.randint(1, 4)
+        body = [f"v {i} {rng.choice('ABC')}" for i in range(n)]
+        for _ in range(rng.randint(0, 6)):
+            r = rng.random()
+            t = -rng.randint(1, 3) if r < 0.04 else MAX_TIMESTAMP if r < 0.08 else rng.randint(0, 3 if r < 0.4 else 9)
+            body.append(f"e {rng.randrange(n)} {rng.randrange(n)} {t}")
+        if rng.random() < 0.2:  # one more node, declared after an edge that names it
+            body.append(f"e {n} 0 {rng.randint(0, 9)}")
+            body.append(f"v {n} D")
+        for _ in range(rng.randint(0, 2)):
+            body.insert(rng.randint(n, len(body)), rng.choice(["", "   ", "# comment", "  # e 0 1 2"]))
+        lines.extend(body)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        bad = rng.choice([
+            "e 0 1", "e 0 1 2 3", "e a 1 2", "e 0 1 2.5", "v 0", "v x A", "v 7 A", "v 0 A B",
+            "g lonely", "g g0 positive", "g new training", "x 1 2", "e 9 0 1", "e 0 -1 4", "e -2 0 4",
+        ])
+        lines.insert(rng.randint(0, len(lines)), bad)
+    return "\n".join(lines) + "\n"
+
+
+def test_ingest_matches_reference_parser():
+    rng = random.Random(42)
+    outcomes = set()
+    for _ in range(1500):
+        text = _random_document(rng)
+        for tie_policy in ("reject", "inputOrder"):
+            for allow_self_loops in (False, True):
+                want = _reference_parse(text, tie_policy, allow_self_loops)
+                try:
+                    parsed = parse_dataset(text, tie_policy, allow_self_loops)
+                except (ParseError, TieRejected) as exc:
+                    got = (type(exc), int(re.match(r"line (\d+): ", str(exc))[1]))
+                else:
+                    got = [(role, g.id, list(g.labels), list(zip(g.srcs, g.dsts, g.timestamps)))
+                           for role, g in parsed]
+                assert got == want, text
+                outcomes.add(want[0].__name__ if isinstance(want, tuple) else "ok")
+    assert outcomes == {"ok", "ParseError", "TieRejected"}
+
+
 class TestTies:
     def test_reject_policy(self):
         with pytest.raises(TieRejected):
@@ -114,6 +233,21 @@ class TestTies:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             sequentialize_ties([], "random")
+
+
+def test_pipeline_reads_only_the_edge_columns(tmp_path):
+    """Loading, mining and matching build no edge objects, and the collector tracks no column."""
+    data = generate_synthetic(preset_spec("small"), seed=0)
+    path = tmp_path / "all.tg"
+    save_dataset(path, [("positive", g) for g in data.positives]
+                 + [("negative", g) for g in data.negatives] + [("test", data.test_graph)])
+    positives, negatives, tests = load_dataset(path)
+    result = mine(positives, negatives, MiningConfig(max_edges=4, top_k=3, behavior="planted"))
+    assert sum(len(find_instances(sp.pattern, tests[0])) for sp in result.ranked) > 0
+    loaded = positives + negatives + tests
+    assert not [g.id for g in loaded if "edges" in g._cache]
+    gc.collect()
+    assert not [g.id for g in loaded for col in (g.srcs, g.dsts, g.timestamps) if gc.is_tracked(col)]
 
 
 class TestReplicate:
