@@ -14,7 +14,6 @@ from .graphs import (
     GraphError,
     NotTConnected,
     SelfLoop,
-    TemporalEdge,
     TemporalGraph,
     TemporalPattern,
     canonical_pattern,
@@ -73,7 +72,6 @@ from .datakit import (
     preset_spec,
     replicate,
     save_dataset,
-    sequentialize_ties,
 )
 
 __version__ = "0.1.0"

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .graphs import (TemporalEdge, TemporalGraph, TemporalPattern, TieRejected, ordered_columns,
-                     validate, validate_columns)
+from .graphs import (GraphError, TemporalGraph, TemporalPattern, TieRejected, canonical_pattern, validate,
+                     validate_columns)
 from .matcher import GroundTruth
 from .miner import MiningConfig, MiningResult
 from .scoring import GTest, InfoGain, LogRatio, ScoreFunction, ScoredPattern, make_score_function
@@ -45,19 +45,6 @@ class SpecInvalid(ValueError):
 
 
 ROLES = ("positive", "negative", "test")
-
-
-def sequentialize_ties(
-    events: Sequence[tuple[int, int, int]], policy: str = "reject"
-) -> list[tuple[int, int, int]]:
-    """Resolve equal timestamps into a strict total order.
-
-    ``reject`` raises TieRejected on the first duplicate.  ``inputOrder``
-    stably sorts by timestamp (ties keep file order) and bumps timestamps
-    minimally upward, so all non-tied order relations are preserved and the
-    result is strictly increasing.  See ``graphs.ordered_columns``.
-    """
-    return list(zip(*ordered_columns(*(tuple(zip(*events)) or ((), (), ())), policy)))
 
 
 def parse_dataset(
@@ -186,7 +173,7 @@ def replicate(graphs: Sequence[TemporalGraph], k: int) -> list[TemporalGraph]:
     for g in graphs:
         out.append(g)
         for i in range(1, k):
-            out.append(TemporalGraph.from_columns(f"{g.id}~{i}", g.labels, g.srcs, g.dsts, g.timestamps))
+            out.append(TemporalGraph(f"{g.id}~{i}", g.labels, g.srcs, g.dsts, g.timestamps))
     return out
 
 
@@ -285,27 +272,27 @@ def _zipf_weights(n: int, s: float) -> list[float]:
     return [1.0 / (r + 1) ** s for r in range(n)]
 
 
-def _random_structure(rng: random.Random, n_edges: int) -> tuple[int, list[TemporalEdge]]:
-    """Random T-connected shape; node count plus edges, labels assigned later."""
+def _random_structure(rng: random.Random, n_edges: int) -> tuple[int, tuple, tuple]:
+    """Random T-connected shape: node count plus source and destination columns (edge k at
+    time k+1); labels are assigned later."""
     n_nodes = 2
-    edges = [TemporalEdge(0, 1, 1)]
-    for t in range(2, n_edges + 1):
+    srcs, dsts = [0], [1]
+    for _ in range(2, n_edges + 1):
         kind = rng.choice(["forward", "backward", "inward"])
         if kind == "forward":
-            src = rng.randrange(n_nodes)
-            edges.append(TemporalEdge(src, n_nodes, t))
+            src, dst = rng.randrange(n_nodes), n_nodes
             n_nodes += 1
         elif kind == "backward":
-            dst = rng.randrange(n_nodes)
-            edges.append(TemporalEdge(n_nodes, dst, t))
+            src, dst = n_nodes, rng.randrange(n_nodes)
             n_nodes += 1
         else:
             src = rng.randrange(n_nodes)
             dst = rng.randrange(n_nodes)
             while dst == src:
                 dst = rng.randrange(n_nodes)
-            edges.append(TemporalEdge(src, dst, t))
-    return n_nodes, edges
+        srcs.append(src)
+        dsts.append(dst)
+    return n_nodes, tuple(srcs), tuple(dsts)
 
 
 def _assemble_graph(
@@ -335,9 +322,9 @@ def _assemble_graph(
     for tag, inst in enumerate(instances):
         base = len(node_labels)
         node_labels.extend(inst.labels)
-        keys = sorted(rng.random() for _ in inst.edges)
-        for e, key in zip(inst.edges, keys):
-            stream.append((key, base + e.src, base + e.dst, tag))
+        keys = sorted(rng.random() for _ in range(inst.n_edges))
+        for src, dst, key in zip(inst.srcs, inst.dsts, keys):
+            stream.append((key, base + src, base + dst, tag))
     stream.sort(key=lambda item: item[0])
     t = rng.randint(1, 5)
     edges = []
@@ -387,9 +374,9 @@ def _assemble_test_graph(
         base = len(node_labels)
         node_labels.extend(inst.labels)
         stream: list[tuple[float, int, int, bool]] = []
-        keys = sorted(rng.random() for _ in inst.edges)
-        for e, key in zip(inst.edges, keys):
-            stream.append((key, base + e.src, base + e.dst, True))
+        keys = sorted(rng.random() for _ in range(inst.n_edges))
+        for src, dst, key in zip(inst.srcs, inst.dsts, keys):
+            stream.append((key, base + src, base + dst, True))
         for _ in range(mix):
             u = rng.randrange(pool_size)
             v = rng.randrange(pool_size)
@@ -429,7 +416,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> SyntheticDataset:
     alphabet = [f"L{i:03d}" for i in range(spec.n_labels)]
     weights = _zipf_weights(spec.n_labels, spec.zipf_s)
 
-    n_nodes, planted_edges = _random_structure(rng, spec.planted_edges)
+    n_nodes, planted_srcs, planted_dsts = _random_structure(rng, spec.planted_edges)
     if spec.planted_labels is not None:
         pool = list(spec.planted_labels)
         planted_node_labels = [pool[i % len(pool)] for i in range(n_nodes)]
@@ -441,7 +428,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> SyntheticDataset:
                 planted_node_labels.append(alphabet[mid + i])
             else:
                 planted_node_labels.append(f"P{i}")
-    planted = TemporalPattern("planted", planted_node_labels, planted_edges)
+    planted = TemporalPattern("planted", planted_node_labels, planted_srcs, planted_dsts,
+                              tuple(range(1, spec.planted_edges + 1)))
 
     templates = []
     for ti in range(spec.n_templates):
@@ -450,12 +438,12 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> SyntheticDataset:
         # few artifacts.  One instance per graph, and later traffic never
         # reuses an earlier position's label.
         size = rng.randint(spec.template_edges_lo, spec.template_edges_hi)
+        # Edge k runs to node k at time k, from node k-1 along the chain, then from its end.
         chain = 2 if size > 2 else size
-        t_edges = [TemporalEdge(j, j + 1, j + 1) for j in range(chain)]
-        for j in range(size - chain):
-            t_edges.append(TemporalEdge(chain, chain + 1 + j, chain + 1 + j))
+        ticks = tuple(range(1, size + 1))
+        t_srcs = tuple(range(chain)) + (chain,) * (size - chain)
         t_labels = [f"T{ti:02d}{chr(97 + j)}" for j in range(size + 1)]
-        templates.append(TemporalPattern(f"template-{ti}", t_labels, t_edges))
+        templates.append(TemporalPattern(f"template-{ti}", t_labels, t_srcs, ticks, ticks))
 
     def noise_templates() -> list[TemporalPattern]:
         # Each recurring background activity shows up at most once per graph.
@@ -536,14 +524,8 @@ def scored_pattern_to_dict(sp: ScoredPattern) -> dict:
     p = sp.pattern
     return {
         "edges": [
-            {
-                "src": e.src,
-                "dst": e.dst,
-                "t": e.t,
-                "srcLabel": p.labels[e.src],
-                "dstLabel": p.labels[e.dst],
-            }
-            for e in p.edges
+            {"src": src, "dst": dst, "t": t, "srcLabel": p.labels[src], "dstLabel": p.labels[dst]}
+            for src, dst, t in zip(p.srcs, p.dsts, p.timestamps)
         ],
         "score": sp.score,
         "freqP": sp.freq_p,
@@ -553,13 +535,29 @@ def scored_pattern_to_dict(sp: ScoredPattern) -> dict:
 
 
 def pattern_from_dict(d: dict, graph_id: str = "query") -> TemporalPattern:
+    """The canonical pattern a report entry's edge list describes.
+
+    Raises ParseError unless ``edges`` is a list of objects with integer ``src``, ``dst``
+    and ``t`` and string ``srcLabel`` and ``dstLabel``, or when a node carries two labels
+    or the node ids are not 0..n-1; DuplicateTimestamp when edges share a timestamp.
+    """
+    edges = json_value(d, "edges", what=graph_id)
+    if not isinstance(edges, list):
+        raise ParseError(f"{graph_id}: edges is not a list")
     labels: dict[int, str] = {}
-    edges = []
-    for e in d["edges"]:
-        labels[e["src"]] = e["srcLabel"]
-        labels[e["dst"]] = e["dstLabel"]
-        edges.append(TemporalEdge(e["src"], e["dst"], e["t"]))
-    return TemporalPattern(graph_id, [labels[i] for i in range(len(labels))], sorted(edges, key=lambda e: e.t))
+    triples = []
+    for e in edges:
+        if not (isinstance(e, dict) and all(type(e.get(k)) is int for k in ("src", "dst", "t"))
+                and all(type(e.get(k)) is str for k in ("srcLabel", "dstLabel"))):
+            raise ParseError(f"{graph_id}: edge {e!r} needs integer src, dst and t and string srcLabel and dstLabel")
+        for node, label in ((e["src"], e["srcLabel"]), (e["dst"], e["dstLabel"])):
+            if labels.setdefault(node, label) != label:
+                raise ParseError(f"{graph_id}: node {node} is labelled both {labels[node]!r} and {label!r}")
+        triples.append((e["src"], e["dst"], e["t"]))
+    missing = set(range(len(labels))) - set(labels)
+    if missing:
+        raise ParseError(f"{graph_id}: node ids are not 0..{len(labels) - 1}; {min(missing)} is missing")
+    return canonical_pattern(labels, triples, graph_id, strict=False)
 
 
 def result_to_dict(result: MiningResult, include_timing: bool = True) -> dict:
@@ -606,8 +604,11 @@ def json_value(doc, *path: str, what: str = "report"):
 
 
 def report_queries(report: dict) -> list[TemporalPattern]:
-    patterns = json_value(report, "patterns")
-    try:
-        return [pattern_from_dict(d, graph_id=f"query-{i}") for i, d in enumerate(patterns)]
-    except KeyError as exc:
-        raise ParseError(f"report lacks key {exc}") from None
+    """The report's patterns as queries ``query-0``, ``query-1``, ...; a malformed one raises ParseError."""
+    queries = []
+    for i, d in enumerate(json_value(report, "patterns")):
+        try:
+            queries.append(pattern_from_dict(d, graph_id=f"query-{i}"))
+        except GraphError as exc:
+            raise ParseError(f"query-{i}: {exc}") from None
+    return queries

@@ -48,15 +48,6 @@ class NotTConnected(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class TemporalEdge:
-    """Directed edge with an integer timestamp (unitless tick)."""
-
-    src: int
-    dst: int
-    t: int
-
-
 def _frozen(groups: dict) -> dict:
     """The same groups with tuples for lists.
 
@@ -78,18 +69,8 @@ class TemporalGraph:
 
     __slots__ = ("id", "labels", "srcs", "dsts", "timestamps", "_cache")
 
-    def __init__(self, graph_id: str, labels: Sequence[str], edges: Iterable[TemporalEdge]):
-        columns = tuple(zip(*((e.src, e.dst, e.t) for e in edges))) or ((), (), ())
-        self._fill(graph_id, labels, *columns)
-
-    @classmethod
-    def from_columns(cls, graph_id: str, labels: Sequence[str], srcs: tuple, dsts: tuple, timestamps: tuple):
-        """A graph over edge columns (tuples of ints) already in strictly increasing time order."""
-        g = cls.__new__(cls)
-        g._fill(graph_id, labels, srcs, dsts, timestamps)
-        return g
-
-    def _fill(self, graph_id, labels, srcs, dsts, timestamps) -> None:
+    def __init__(self, graph_id: str, labels: Sequence[str], srcs: tuple, dsts: tuple, timestamps: tuple):
+        """Unchecked: the columns must already be in strictly increasing time order (see ``validate``)."""
         self.id, self.labels, self._cache = graph_id, tuple(map(sys.intern, labels)), {}
         self.srcs, self.dsts, self.timestamps = srcs, dsts, timestamps
 
@@ -100,14 +81,6 @@ class TemporalGraph:
     @property
     def n_edges(self) -> int:
         return len(self.srcs)
-
-    @property
-    def edges(self) -> tuple[TemporalEdge, ...]:
-        """TemporalEdge objects, built on first use and cached; mining and matching read the columns."""
-        edges = self._cache.get("edges")
-        if edges is None:
-            edges = self._cache["edges"] = tuple(map(TemporalEdge, self.srcs, self.dsts, self.timestamps))
-        return edges
 
     def edges_after(self, t: int) -> int:
         """Number of edges with timestamp strictly greater than t."""
@@ -262,15 +235,19 @@ def validate_columns(graph_id: str, labels: Sequence[str], srcs: Sequence[int], 
                      tie_policy: str = "reject") -> TemporalGraph:
     """A validated TemporalGraph from node labels and edge columns in any time order.
 
-    Whole columns are checked with builtins after :func:`ordered_columns`; a per-edge loop
-    runs only to name the first offending edge.  Raises TieRejected, EmptyLabel,
-    DanglingEndpoint, SelfLoop (unless allow_self_loops) or GraphError."""
+    Timestamps are range-checked as given, before ties are sequenced; the rest is checked
+    with builtins after :func:`ordered_columns`, and a per-edge loop runs only to name the
+    first offending edge.  Raises GraphError, TieRejected, EmptyLabel, DanglingEndpoint or
+    SelfLoop (unless allow_self_loops)."""
+    low, high = (min(timestamps), max(timestamps)) if timestamps else (0, 0)
+    if low < 0 or high > MAX_TIMESTAMP:
+        raise GraphError(f"graph {graph_id}: timestamp {low if low < 0 else high} outside the supported range")
     srcs, dsts, ts = ordered_columns(srcs, dsts, timestamps, tie_policy)
     if not all(labels):
         raise EmptyLabel(f"graph {graph_id}: node {list(map(bool, labels)).index(False)} has an empty label")
     n = len(labels)
     if srcs and (min(srcs) < 0 or min(dsts) < 0 or max(srcs) >= n or max(dsts) >= n
-                 or ts[0] < 0 or ts[-1] > MAX_TIMESTAMP
+                 or ts[-1] > MAX_TIMESTAMP  # inputOrder can bump a tie past the range
                  or (not allow_self_loops and any(map(eq, srcs, dsts)))):
         for src, dst, t in zip(srcs, dsts, ts):
             if not (0 <= src < n) or not (0 <= dst < n):
@@ -280,7 +257,7 @@ def validate_columns(graph_id: str, labels: Sequence[str], srcs: Sequence[int], 
                 raise SelfLoop(f"graph {graph_id}: self-loop on node {src} at t={t}")
             if not (0 <= t <= MAX_TIMESTAMP):
                 raise GraphError(f"graph {graph_id}: timestamp {t} outside the supported range")
-    return TemporalGraph.from_columns(graph_id, labels, srcs, dsts, ts)
+    return TemporalGraph(graph_id, labels, srcs, dsts, ts)
 
 
 def validate(
@@ -313,12 +290,12 @@ def is_t_connected(g: TemporalGraph) -> bool:
         return root
 
     components = 0
-    for e in g.edges:
-        for v in (e.src, e.dst):
+    for src, dst in zip(g.srcs, g.dsts):
+        for v in (src, dst):
             if v not in parent:
                 parent[v] = v
                 components += 1
-        ru, rv = find(e.src), find(e.dst)
+        ru, rv = find(src), find(dst)
         if ru != rv:
             parent[ru] = rv
             components -= 1
@@ -393,10 +370,11 @@ def canonical_pattern(
             new_labels.append(lab)
         return remap[node]
 
-    new_edges = []
-    for k, (src, dst, _) in enumerate(ordered, start=1):
-        new_edges.append(TemporalEdge(visit(src), visit(dst), k))
-    pattern = TemporalPattern(graph_id, new_labels, new_edges)
+    srcs, dsts = [], []
+    for src, dst, _ in ordered:
+        srcs.append(visit(src))
+        dsts.append(visit(dst))
+    pattern = TemporalPattern(graph_id, new_labels, tuple(srcs), tuple(dsts), tuple(range(1, len(srcs) + 1)))
     if strict and not is_t_connected(pattern):
         raise NotTConnected(f"edge list does not form a T-connected pattern: {pattern.text()}")
     return pattern
@@ -404,7 +382,7 @@ def canonical_pattern(
 
 def pattern_of(g: TemporalGraph, strict: bool = True) -> TemporalPattern:
     """Canonical pattern carrying the same structure as g."""
-    return canonical_pattern(g.labels, [(e.src, e.dst, e.t) for e in g.edges], graph_id=g.id, strict=strict)
+    return canonical_pattern(g.labels, zip(g.srcs, g.dsts, g.timestamps), graph_id=g.id, strict=strict)
 
 
 def verify_embedding(p: TemporalPattern, g: TemporalGraph, emb: Embedding) -> bool:

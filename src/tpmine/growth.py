@@ -87,7 +87,7 @@ class EmbeddingTable:
 
 
 def empty_pattern() -> TemporalPattern:
-    return TemporalPattern("empty", (), ())
+    return TemporalPattern("empty", (), (), (), ())
 
 
 def empty_table(graphs: Sequence[TemporalGraph]) -> EmbeddingTable:
@@ -113,7 +113,7 @@ def grow(p: TemporalPattern, x: Extension) -> TemporalPattern:
     if x.kind == "seed":
         if p.n_edges != 0 or not x.src_label or not x.dst_label:
             raise InvalidExtension(f"seed extension not applicable: {x}")
-        return TemporalPattern.from_columns(p.id, (x.src_label, x.dst_label), (0,), (1,), (1,))
+        return TemporalPattern(p.id, (x.src_label, x.dst_label), (0,), (1,), (1,))
     if p.n_edges == 0:
         raise InvalidExtension("only seed extensions can grow the empty pattern")
     if x.kind == "forward":
@@ -138,7 +138,7 @@ def grow(p: TemporalPattern, x: Extension) -> TemporalPattern:
         src, dst = x.src, x.dst
     else:
         raise InvalidExtension(f"unknown extension kind {x.kind!r}")
-    return TemporalPattern.from_columns(p.id, labels, p.srcs + (src,), p.dsts + (dst,), p.timestamps + (t,))
+    return TemporalPattern(p.id, labels, p.srcs + (src,), p.dsts + (dst,), p.timestamps + (t,))
 
 
 def _extension(key: tuple) -> Extension:

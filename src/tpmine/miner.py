@@ -63,7 +63,6 @@ class MiningConfig:
     min_freq_p: float = 0.0
     residual_check: str = "profile"
     blacklist: frozenset[str] = frozenset()
-    registry_max_entries: int = 2**20
     behavior: str = "behavior"
     seed: int = 0
 
@@ -123,7 +122,7 @@ class _Session:
         self.cfg = cfg
         self.on_visit = on_visit
         self.stats = MiningStats()
-        self.registry = PatternRegistry(cfg.registry_max_entries)
+        self.registry = PatternRegistry()
         self.scored: list[tuple[TemporalPattern, float, float, float]] = []
         self._heap: list[float] = []
 

@@ -72,14 +72,14 @@ def _assignments(p: TemporalPattern, g: TemporalGraph, deadline: _Deadline):
         if k == m:
             yield dict(fwd), tuple(chosen)
             return
-        pe = p.edges[k]
+        ps, pd = p.srcs[k], p.dsts[k]
         for pos in range(min_pos, g.n_edges):
-            ge = g.edges[pos]
-            if p.labels[pe.src] != g.labels[ge.src] or p.labels[pe.dst] != g.labels[ge.dst]:
+            gs, gd = g.srcs[pos], g.dsts[pos]
+            if p.labels[ps] != g.labels[gs] or p.labels[pd] != g.labels[gd]:
                 continue
             bound = []
             ok = True
-            for u, v in ((pe.src, ge.src), (pe.dst, ge.dst)):
+            for u, v in ((ps, gs), (pd, gd)):
                 got = fwd.get(u)
                 if got is not None:
                     if got != v:
@@ -105,7 +105,7 @@ def _assignments(p: TemporalPattern, g: TemporalGraph, deadline: _Deadline):
 
 def _to_embedding(p: TemporalPattern, g: TemporalGraph, fmap: dict[int, int], positions: tuple[int, ...]) -> Embedding:
     nodes = tuple(fmap[i] for i in range(p.n_nodes))
-    times = tuple(g.edges[pos].t for pos in positions)
+    times = tuple(g.timestamps[pos] for pos in positions)
     return Embedding(nodes, times)
 
 
@@ -201,7 +201,7 @@ def oracle_enumerate_patterns(
     found: dict[str, TemporalPattern] = {}
     for g in graphs:
         budget.check_graph(g)
-        raw = [(e.src, e.dst, e.t) for e in g.edges]
+        raw = list(zip(g.srcs, g.dsts, g.timestamps))
         for size in range(1, max_edges + 1):
             for subset in combinations(raw, size):
                 deadline.check()
@@ -306,19 +306,19 @@ def enumerate_extensions(
         ts = g.timestamps
         for emb in embs:
             inverse = {dn: i for i, dn in enumerate(emb.nodes)}
-            for pos in range(bisect_right(ts, emb.max_data_time), len(g.edges)):
-                e = g.edges[pos]
-                if e.src == e.dst:
+            for pos in range(bisect_right(ts, emb.max_data_time), g.n_edges):
+                src, dst = g.srcs[pos], g.dsts[pos]
+                if src == dst:
                     continue
-                si = inverse.get(e.src)
-                di = inverse.get(e.dst)
+                si = inverse.get(src)
+                di = inverse.get(dst)
                 if si is None and di is None:
                     if not emb.nodes:
-                        out.add(Extension("seed", src_label=g.labels[e.src], dst_label=g.labels[e.dst]))
+                        out.add(Extension("seed", src_label=g.labels[src], dst_label=g.labels[dst]))
                 elif si is not None and di is None:
-                    out.add(Extension("forward", src=si, dst_label=g.labels[e.dst]))
+                    out.add(Extension("forward", src=si, dst_label=g.labels[dst]))
                 elif si is None and di is not None:
-                    out.add(Extension("backward", dst=di, src_label=g.labels[e.src]))
+                    out.add(Extension("backward", dst=di, src_label=g.labels[src]))
                 else:
                     out.add(Extension("inward", src=si, dst=di))
     return sorted(out, key=Extension.sort_key)
@@ -351,36 +351,28 @@ def extend_embeddings(
             if full:
                 break
             nodes = emb.nodes
-            for pos in range(bisect_right(ts, emb.max_data_time), len(g.edges)):
-                e = g.edges[pos]
-                if e.src == e.dst:
+            for pos in range(bisect_right(ts, emb.max_data_time), g.n_edges):
+                src, dst, t = g.srcs[pos], g.dsts[pos], ts[pos]
+                if src == dst:
                     continue
                 if x.kind == "seed":
-                    if g.labels[e.src] == x.src_label and g.labels[e.dst] == x.dst_label:
-                        child = Embedding((e.src, e.dst), (e.t,))
+                    if g.labels[src] == x.src_label and g.labels[dst] == x.dst_label:
+                        child = Embedding((src, dst), (t,))
                     else:
                         continue
                 elif x.kind == "forward":
-                    if (
-                        e.src == nodes[x.src]
-                        and g.labels[e.dst] == x.dst_label
-                        and e.dst not in nodes
-                    ):
-                        child = Embedding(nodes + (e.dst,), emb.times + (e.t,))
+                    if src == nodes[x.src] and g.labels[dst] == x.dst_label and dst not in nodes:
+                        child = Embedding(nodes + (dst,), emb.times + (t,))
                     else:
                         continue
                 elif x.kind == "backward":
-                    if (
-                        e.dst == nodes[x.dst]
-                        and g.labels[e.src] == x.src_label
-                        and e.src not in nodes
-                    ):
-                        child = Embedding(nodes + (e.src,), emb.times + (e.t,))
+                    if dst == nodes[x.dst] and g.labels[src] == x.src_label and src not in nodes:
+                        child = Embedding(nodes + (src,), emb.times + (t,))
                     else:
                         continue
                 else:  # inward
-                    if e.src == nodes[x.src] and e.dst == nodes[x.dst]:
-                        child = Embedding(nodes, emb.times + (e.t,))
+                    if src == nodes[x.src] and dst == nodes[x.dst]:
+                        child = Embedding(nodes, emb.times + (t,))
                     else:
                         continue
                 if room <= 0:

@@ -76,7 +76,7 @@ def embedded_pattern(
     for _ in range(20):
         k = rng.randint(1, min(max_edges, g.n_edges))
         idxs = sorted(rng.sample(range(g.n_edges), k))
-        subset = [(g.edges[i].src, g.edges[i].dst, g.edges[i].t) for i in idxs]
+        subset = [(g.srcs[i], g.dsts[i], g.timestamps[i]) for i in idxs]
         if any(s == d for s, d, _ in subset):
             continue
         try:

@@ -202,7 +202,7 @@ def test_residual_signature_integer_equivalence():
         j = rng.randint(1, g2.n_edges)
         g1 = canonical_pattern(
             {i: g2.labels[i] for i in range(g2.n_nodes)},
-            [(e.src, e.dst, e.t) for e in g2.edges[:j]],
+            list(zip(g2.srcs, g2.dsts, g2.timestamps))[:j],
         )
 
         def int_sig(p):
@@ -256,7 +256,7 @@ def test_training_size_scaling(medium_corpus):
 
     def cold(graphs):
         # fresh objects so every run pays derived-structure costs equally
-        return [TemporalGraph(g.id, g.labels, g.edges) for g in graphs]
+        return [TemporalGraph(g.id, g.labels, g.srcs, g.dsts, g.timestamps) for g in graphs]
 
     data = medium_corpus
     times = {}

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from tpmine.cli import main
+from tpmine.datakit import load_dataset, report_queries, result_to_dict
+from tpmine.miner import MiningConfig, mine
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +186,40 @@ def test_match_report_without_patterns_is_data_error(workspace, tmp_path, capsys
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and "patterns" in err[0], err
+
+
+def _query_edge(src, src_label, dst, dst_label, t):
+    return {"src": src, "dst": dst, "t": t, "srcLabel": src_label, "dstLabel": dst_label}
+
+
+@pytest.mark.parametrize("edges, phrase", [
+    ([_query_edge(0, "A", 1, "B", 1), _query_edge(1, "Z", 2, "C", 2)], "node 1 is labelled both 'B' and 'Z'"),
+    ([_query_edge(0, "A", 2, "B", 1)], "node ids are not 0..1; 1 is missing"),
+    ([_query_edge(0, "A", 1, "B", 1), _query_edge(1, "B", 2, "C", 1)], "duplicate timestamp 1"),
+    ([_query_edge(0, "A", 1, "B", 1), _query_edge(1, "B", 2, "C", "2")], "needs integer src, dst and t"),
+    ([_query_edge(0, "A", 1, 7, 1)], "string srcLabel and dstLabel"),
+    ([{"src": 0, "dst": 1, "t": 1, "srcLabel": "A"}], "string srcLabel and dstLabel"),
+    ([[0, 1, 1]], "needs integer src"),
+    ({"src": 0}, "edges is not a list"),
+])
+def test_match_malformed_query_is_data_error(workspace, tmp_path, capsys, edges, phrase):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"patterns": [{"edges": edges}]}))
+    capsys.readouterr()
+    code = main(["match", "--queries", str(report), "--graph", str(workspace / "data" / "test.tg"),
+                 "--out", str(tmp_path / "instances.json")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: query-0: ") and phrase in err[0], err
+
+
+def test_report_queries_are_the_mined_patterns(workspace):
+    data = workspace / "data"
+    positives, negatives = load_dataset(data / "pos.tg")[0], load_dataset(data / "neg.tg")[1]
+    result = mine(positives, negatives, MiningConfig(max_edges=3, top_k=4))
+    queries = report_queries(result_to_dict(result))
+    assert [q.key() for q in queries] == [sp.pattern.key() for sp in result.ranked]
+    assert [q.timestamps for q in queries] == [sp.pattern.timestamps for sp in result.ranked]
 
 
 def test_negative_window_is_usage_error(workspace, tmp_path):

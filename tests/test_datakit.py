@@ -20,9 +20,8 @@ from tpmine.datakit import (
     replicate,
     save_dataset,
     score_fn_from_dict,
-    sequentialize_ties,
 )
-from tpmine.graphs import MAX_TIMESTAMP, pattern_of, validate
+from tpmine.graphs import MAX_TIMESTAMP, GraphError, ordered_columns, pattern_of, validate
 from tpmine.matcher import find_instances
 from tpmine.miner import MiningConfig, mine
 from tpmine.oracle import oracle_subgraph_test
@@ -91,7 +90,9 @@ def _reference_parse(text, tie_policy, allow_self_loops):
     """Line-by-line reference parser: (role, id, labels, [(src, dst, t)]) per graph.
 
     Errors come out as (error type, line number): a line error names its
-    line, a graph error (tie, self-loop, timestamp range) the graph's last line.
+    line, a graph error (timestamp range, then tie, then self-loop) the graph's
+    last line.  Timestamps are range-checked as given, and again after
+    ``inputOrder`` bumps them.
     """
     out, seen, state = [], set(), {"gid": None}
 
@@ -104,6 +105,8 @@ def _reference_parse(text, tie_policy, allow_self_loops):
     def flush(line):
         if state["gid"] is None:
             return
+        if not all(0 <= t <= MAX_TIMESTAMP for _, _, t in state["edges"]):
+            fail(ParseError, line)
         ordered = sorted(state["edges"], key=lambda e: e[2])
         if tie_policy == "reject":
             if any(a[2] == b[2] for a, b in zip(ordered, ordered[1:])):
@@ -205,22 +208,21 @@ def test_ingest_matches_reference_parser():
 class TestTies:
     def test_reject_policy(self):
         with pytest.raises(TieRejected):
-            sequentialize_ties([(0, 1, 5), (1, 2, 5)], "reject")
+            ordered_columns((0, 1), (1, 2), (5, 5), "reject")
 
     def test_input_order_breaks_tie_by_file_order(self):
-        out = sequentialize_ties([(0, 1, 5), (1, 2, 5)], "inputOrder")
-        assert [e[2] for e in out] == [5, 6]
-        assert [e[:2] for e in out] == [(0, 1), (1, 2)]
+        srcs, dsts, ts = ordered_columns((0, 1), (1, 2), (5, 5), "inputOrder")
+        assert ts == (5, 6)
+        assert list(zip(srcs, dsts)) == [(0, 1), (1, 2)]
 
     def test_no_ties_is_identity(self):
-        events = [(0, 1, 3), (1, 2, 7)]
-        assert sequentialize_ties(events, "inputOrder") == events
+        columns = ((0, 1), (1, 2), (3, 7))
+        assert ordered_columns(*columns, "inputOrder") == columns
 
     def test_stable_around_unrelated_event(self):
-        out = sequentialize_ties([(0, 1, 5), (1, 2, 3), (2, 0, 5)], "inputOrder")
-        assert [e[:2] for e in out] == [(1, 2), (0, 1), (2, 0)]
-        ts = [e[2] for e in out]
-        assert ts == sorted(ts) and len(set(ts)) == 3
+        srcs, dsts, ts = ordered_columns((0, 1, 2), (1, 2, 0), (5, 3, 5), "inputOrder")
+        assert list(zip(srcs, dsts)) == [(1, 2), (0, 1), (2, 0)]
+        assert list(ts) == sorted(ts) and len(set(ts)) == 3
 
     def test_load_with_tie_policy(self, tmp_path):
         path = tmp_path / "d.tg"
@@ -228,11 +230,20 @@ class TestTies:
         with pytest.raises(TieRejected):
             load_dataset(path)
         pos, _, _ = load_dataset(path, tie_policy="inputOrder")
-        assert [e.t for e in pos[0].edges] == [5, 6]
+        assert pos[0].timestamps == (5, 6)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            sequentialize_ties([], "random")
+            ordered_columns((), (), (), "random")
+
+    def test_negative_timestamps_rejected_before_sequencing(self):
+        text = "g a positive\nv 0 A\nv 1 B\ne 0 1 -5\ne 1 0 -3\n"
+        for tie_policy in ("reject", "inputOrder"):
+            with pytest.raises(ParseError, match="timestamp -5 outside the supported range"):
+                parse_dataset(text, tie_policy=tie_policy)
+        # the range fault is reported before the tie at t=5
+        with pytest.raises(GraphError, match="timestamp -5 outside"):
+            validate("a", ["A", "B"], [(0, 1, -5), (1, 0, 5), (0, 1, 5)])
 
 
 def test_pipeline_reads_only_the_edge_columns(tmp_path):
@@ -263,8 +274,8 @@ class TestReplicate:
         assert len(doubled) == 8
         assert len({g.id for g in doubled}) == 8
         p = pattern_of(
-            validate("probe", [graphs[0].labels[graphs[0].edges[0].src],
-                               graphs[0].labels[graphs[0].edges[0].dst]], [(0, 1, 1)])
+            validate("probe", [graphs[0].labels[graphs[0].srcs[0]],
+                               graphs[0].labels[graphs[0].dsts[0]]], [(0, 1, 1)])
         )
         base_hits = sum(1 for g in graphs if temporal_subgraph_test(p, g))
         doubled_hits = sum(1 for g in doubled if temporal_subgraph_test(p, g))
@@ -322,9 +333,9 @@ class TestGenerator:
         g = data.test_graph
         for name, start, end in data.truth.entries:
             assert name == spec.behavior
-            window = [e for e in g.edges if start <= e.t <= end]
+            window = [e for e in zip(g.srcs, g.dsts, g.timestamps) if start <= e[2] <= end]
             # the planted pattern matches fully inside its truth interval
-            shard = validate("w", g.labels, [(e.src, e.dst, e.t) for e in window])
+            shard = validate("w", g.labels, window)
             assert temporal_subgraph_test(data.planted, shard) is not None
 
     def test_specs_validate(self):

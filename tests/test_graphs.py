@@ -46,7 +46,7 @@ class TestValidate:
     def test_minimal_graph(self):
         g = validate("g", ["A", "B"], [(0, 1, 7)])
         assert g.n_nodes == 2 and g.n_edges == 1
-        assert g.edges[0].t == 7
+        assert g.timestamps == (7,)
 
     def test_duplicate_timestamp_rejected(self):
         with pytest.raises(DuplicateTimestamp):
@@ -54,7 +54,7 @@ class TestValidate:
 
     def test_edges_sorted_by_timestamp(self):
         g = validate("g", ["A", "B", "C"], [(0, 1, 2), (1, 2, 1)])
-        assert [(e.src, e.dst, e.t) for e in g.edges] == [(1, 2, 1), (0, 1, 2)]
+        assert list(zip(g.srcs, g.dsts, g.timestamps)) == [(1, 2, 1), (0, 1, 2)]
 
     def test_dangling_endpoint(self):
         with pytest.raises(DanglingEndpoint):
@@ -74,19 +74,19 @@ class TestValidate:
 
     def test_timestamp_zero_accepted(self):
         g = validate("g", ["A", "B"], [(0, 1, 0)])
-        assert g.edges[0].t == 0
+        assert g.timestamps == (0,)
 
 
 def _oracle_t_connected(g) -> bool:
     """Rebuild every timestamp prefix and walk its components directly."""
-    edges = sorted(g.edges, key=lambda e: e.t)
+    edges = sorted(zip(g.srcs, g.dsts, g.timestamps), key=lambda e: e[2])
     for k in range(1, len(edges) + 1):
         prefix = edges[:k]
-        nodes = {v for e in prefix for v in (e.src, e.dst)}
+        nodes = {v for src, dst, _ in prefix for v in (src, dst)}
         adj = {v: set() for v in nodes}
-        for e in prefix:
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
+        for src, dst, _ in prefix:
+            adj[src].add(dst)
+            adj[dst].add(src)
         start = next(iter(nodes))
         seen, stack = {start}, [start]
         while stack:
@@ -165,7 +165,7 @@ class TestPatternsEqual:
             shift = {i: i + 10 for i in range(p.n_nodes)}
             q = canonical_pattern(
                 {shift[i]: p.labels[i] for i in range(p.n_nodes)},
-                [(shift[e.src], shift[e.dst], e.t) for e in p.edges],
+                [(shift[s], shift[d], t) for s, d, t in zip(p.srcs, p.dsts, p.timestamps)],
             )
             r = random_pattern(rng, max_edges=5)
             assert patterns_equal(p, p) is not None
@@ -185,12 +185,13 @@ class TestPatternsEqual:
             p = random_pattern(rng, max_edges=5)
             q = canonical_pattern(
                 {i + 3: p.labels[i] for i in range(p.n_nodes)},
-                [(e.src + 3, e.dst + 3, e.t) for e in p.edges],
+                [(s + 3, d + 3, t) for s, d, t in zip(p.srcs, p.dsts, p.timestamps)],
             )
             emb = patterns_equal(p, q)
             assert emb is not None
-            rebuilt_edges = {(emb.nodes[e.src], emb.nodes[e.dst], emb.times[e.t - 1]) for e in p.edges}
-            assert rebuilt_edges == {(e.src, e.dst, e.t) for e in q.edges}
+            rebuilt_edges = {(emb.nodes[s], emb.nodes[d], emb.times[t - 1])
+                             for s, d, t in zip(p.srcs, p.dsts, p.timestamps)}
+            assert rebuilt_edges == set(zip(q.srcs, q.dsts, q.timestamps))
             assert verify_embedding(p, q, emb)
 
     def test_linear_operation_count(self):
@@ -209,15 +210,15 @@ class TestPatternsEqual:
 class TestCanonicalPattern:
     def test_shift_down_to_one(self):
         p = canonical_pattern(["A", "B", "C"], [(0, 1, 4), (1, 2, 5), (2, 0, 6)])
-        assert [e.t for e in p.edges] == [1, 2, 3]
+        assert p.timestamps == (1, 2, 3)
 
     def test_single_edge(self):
         p = canonical_pattern(["A", "B"], [(0, 1, 99)])
-        assert [e.t for e in p.edges] == [1]
+        assert p.timestamps == (1,)
 
     def test_order_isomorphic_relabeling(self):
         p = canonical_pattern(["A", "B", "C"], [(0, 1, 2), (1, 2, 10), (2, 0, 11)])
-        assert [e.t for e in p.edges] == [1, 2, 3]
+        assert p.timestamps == (1, 2, 3)
         assert is_t_connected(p)
 
     def test_idempotent(self):
@@ -235,7 +236,7 @@ class TestCanonicalPattern:
     def test_first_visit_compaction(self):
         p = canonical_pattern({5: "X", 9: "Y", 2: "Z"}, [(9, 5, 3), (5, 2, 8)])
         assert p.labels == ("Y", "X", "Z")
-        assert [(e.src, e.dst) for e in p.edges] == [(0, 1), (1, 2)]
+        assert list(zip(p.srcs, p.dsts)) == [(0, 1), (1, 2)]
 
     def test_duplicate_timestamps_rejected(self):
         with pytest.raises(DuplicateTimestamp):

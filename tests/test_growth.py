@@ -75,18 +75,18 @@ class TestGrow:
     def test_seed(self):
         p = grow(empty_pattern(), Extension("seed", src_label="A", dst_label="B"))
         assert p.labels == ("A", "B")
-        assert [(e.src, e.dst, e.t) for e in p.edges] == [(0, 1, 1)]
+        assert (p.srcs, p.dsts, p.timestamps) == ((0,), (1,), (1,))
 
     def test_forward_timestamp_is_next(self):
         p = grow(empty_pattern(), Extension("seed", src_label="A", dst_label="B"))
         q = grow(p, Extension("forward", src=1, dst_label="C"))
-        assert [(e.src, e.dst, e.t) for e in q.edges] == [(0, 1, 1), (1, 2, 2)]
+        assert list(zip(q.srcs, q.dsts, q.timestamps)) == [(0, 1, 1), (1, 2, 2)]
         assert q.labels == ("A", "B", "C")
 
     def test_backward_adds_new_source(self):
         p = grow(empty_pattern(), Extension("seed", src_label="A", dst_label="B"))
         q = grow(p, Extension("backward", dst=0, src_label="C"))
-        assert [(e.src, e.dst, e.t) for e in q.edges] == [(0, 1, 1), (2, 0, 2)]
+        assert list(zip(q.srcs, q.dsts, q.timestamps)) == [(0, 1, 1), (2, 0, 2)]
         assert q.labels == ("A", "B", "C")
 
     def test_grown_patterns_stay_valid(self):
@@ -100,7 +100,7 @@ class TestGrow:
         while stack and seen < 200:
             p, table = stack.pop()
             seen += 1
-            assert [e.t for e in p.edges] == list(range(1, p.n_edges + 1))
+            assert p.timestamps == tuple(range(1, p.n_edges + 1))
             assert is_t_connected(p)
             if p.n_edges >= 3:
                 continue

@@ -195,7 +195,7 @@ class TestNegativeWitness:
                 g = random_graph(rng, max_nodes=6, max_edges=12)
                 child = embedded_pattern(rng, g, max_edges=4) if rng.random() < 0.7 else None
                 child = child or random_pattern(rng, max_edges=4)
-            prefix = [(e.src, e.dst, e.t) for e in child.edges[:-1]]
+            prefix = list(zip(child.srcs, child.dsts, child.timestamps))[:-1]
             parent = canonical_pattern(child.labels, prefix) if prefix else empty_pattern()
             parent_first = find_embeddings(parent, g, limit=1)
             if not parent_first:
@@ -205,7 +205,7 @@ class TestNegativeWitness:
             assert first_extension(child, g, parent_first[0]) == (extensions[0] if extensions else None)
             session = _Session([g], [g], MiningConfig(), None)
             witness = session.first_match(child, g, parent_first[0])
-            assert witness == (every[0] if every else None), (child.text(), g.edges)
+            assert witness == (every[0] if every else None), (child.text(), g.srcs, g.dsts, g.timestamps)
             assert session.stats.subiso_tests == 1
             cases += 1
             extended += len(extensions) > 1

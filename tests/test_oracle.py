@@ -32,7 +32,7 @@ class TestOracleSubgraphTest:
         g2 = canonical_pattern(
             {2: "C", 3: "B", 0: "A"}, [(2, 3, 4), (3, 0, 5), (0, 2, 6)]
         )
-        assert [e.t for e in g2.edges] == [1, 2, 3]
+        assert g2.timestamps == (1, 2, 3)
         emb = oracle_subgraph_test(g2, g1)
         assert emb is not None
         assert emb.times == (4, 5, 6)
@@ -64,7 +64,7 @@ class TestOracleEnumeration:
 
     def test_duplicated_graph_same_set(self):
         g = validate("g", ["A", "B", "C"], [(0, 1, 1), (1, 2, 2)])
-        g2 = validate("g2", g.labels, [(e.src, e.dst, e.t) for e in g.edges])
+        g2 = validate("g2", g.labels, zip(g.srcs, g.dsts, g.timestamps))
         single = set(oracle_enumerate_patterns([g], 2))
         double = set(oracle_enumerate_patterns([g, g2], 2))
         assert single == double

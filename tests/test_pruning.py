@@ -128,7 +128,8 @@ class TestResidualSignature:
             for g in graphs:
                 if table.entries[g.id]:
                     cutoff = min(e.max_data_time for e in matches[g.id])
-                    union |= {g.labels[v] for e in g.edges if e.t > cutoff for v in (e.src, e.dst)}
+                    union |= {g.labels[v] for s, d, t in zip(g.srcs, g.dsts, g.timestamps)
+                              if t > cutoff for v in (s, d)}
             assert label_union(sig) == union
             for _ in range(5):
                 surplus = set(rng.sample("ABCDE", rng.randint(1, 3)))
@@ -174,7 +175,7 @@ class TestSignatureEquivalence:
             j = rng.randint(1, g2.n_edges)
             g1 = canonical_pattern(
                 {i: g2.labels[i] for i in range(g2.n_nodes)},
-                [(e.src, e.dst, e.t) for e in g2.edges[:j]],
+                list(zip(g2.srcs, g2.dsts, g2.timestamps))[:j],
             )
             fast = signatures_equivalent(sig_of(g1, graphs), sig_of(g2, graphs), "profile")
             slow = oracle_residual_equal(g1, g2, graphs)

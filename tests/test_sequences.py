@@ -158,7 +158,7 @@ class TestTemporalSubgraphTest:
         for p, g in self._verdict_corpus(31, 500):
             fast = temporal_subgraph_test(p, g)
             slow = oracle_subgraph_test(p, g)
-            assert (fast is None) == (slow is None), (p.text(), g.labels, g.edges)
+            assert (fast is None) == (slow is None), (p.text(), g.labels, g.srcs, g.dsts, g.timestamps)
             if fast is not None:
                 positives += 1
                 assert verify_embedding(p, g, fast)
@@ -204,7 +204,7 @@ class TestFindEmbeddings:
                 continue
             fast = set(find_embeddings(p, g))
             slow = set(oracle_embeddings(p, g))
-            assert fast == slow, (p.text(), g.labels, g.edges)
+            assert fast == slow, (p.text(), g.labels, g.srcs, g.dsts, g.timestamps)
             checked += 1
 
     def test_limit_respected(self):
