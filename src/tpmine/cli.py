@@ -109,7 +109,10 @@ def _cmd_match(args) -> int:
     if not tests:
         print("error: no test graph in input", file=sys.stderr)
         return DATA_ERROR
-    behavior = report.get("config", {}).get("behavior", "behavior")
+    config = report.get("config", {})
+    if not isinstance(config, dict):
+        raise datakit.ParseError("report.config is not a JSON object")
+    behavior = config.get("behavior", "behavior")
     instances = []
     for qi, q in enumerate(queries):
         for g in tests:

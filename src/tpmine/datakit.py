@@ -605,8 +605,11 @@ def json_value(doc, *path: str, what: str = "report"):
 
 def report_queries(report: dict) -> list[TemporalPattern]:
     """The report's patterns as queries ``query-0``, ``query-1``, ...; a malformed one raises ParseError."""
+    patterns = json_value(report, "patterns")
+    if not isinstance(patterns, list):
+        raise ParseError("report.patterns is not a JSON list")
     queries = []
-    for i, d in enumerate(json_value(report, "patterns")):
+    for i, d in enumerate(patterns):
         try:
             queries.append(pattern_from_dict(d, graph_id=f"query-{i}"))
         except GraphError as exc:

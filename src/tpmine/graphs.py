@@ -104,6 +104,18 @@ class TemporalGraph:
             idx = self._cache["edge_index"] = (_frozen(by_src), _frozen(by_dst), _frozen(by_pair))
         return idx
 
+    def incident(self) -> tuple[tuple[int, ...], ...]:
+        """Per node id, the positions of its non-loop edges in time order (cached)."""
+        inc = self._cache.get("incident")
+        if inc is None:
+            lists: list[list[int]] = [[] for _ in self.labels]
+            for pos, (src, dst) in enumerate(zip(self.srcs, self.dsts)):
+                if src != dst:
+                    lists[src].append(pos)
+                    lists[dst].append(pos)
+            inc = self._cache["incident"] = tuple(map(tuple, lists))
+        return inc
+
     def last_label_positions(self) -> dict[str, int]:
         """Per node label, the last edge position with an endpoint of that label (cached)."""
         last = self._cache.get("last_label_positions")

@@ -155,67 +155,64 @@ def expand(
     """All extensions and their child tables, from one pass over the embeddings.
 
     Each data edge after a match's last edge and touching its image, read
-    from the graph's per-node edge index, is classified once by which
-    endpoints the match maps; the empty pattern's seeds come from the
-    label-pair index instead.  One parent's children for one extension come
-    from one index list in edge order, as a plain scan would give them.
-    Buckets are plain tuples ordered like ``Extension.sort_key``; keys come
-    back in that order, with one Extension built per distinct key.
+    from the graph's incident index, is classified once by which endpoints
+    the match maps; the empty pattern's seeds come from the label-pair index
+    instead.  One parent's children for one extension come from one index
+    list in edge order, as a plain scan would give them; per graph and
+    extension the first ``cap`` children are kept.  Buckets are plain
+    tuples ordered like ``Extension.sort_key``; keys come back in that
+    order, with one Extension built per distinct key.
     """
-    entries: dict[tuple, dict[str, list[Entry]]] = {}
+    entries: dict[tuple, dict[str, tuple[Entry, ...]]] = {}
     truncated: dict[tuple, set[str]] = {}
-
-    def add(key: tuple, gid: str, child: Entry) -> None:
-        bucket = entries.get(key)
-        if bucket is None:
-            bucket = entries[key] = {}
-        out = bucket.get(gid)
-        if out is None:
-            out = bucket[gid] = []
-        if len(out) < cap:
-            out.append(child)
-        else:
-            truncated.setdefault(key, set()).add(gid)
-
     for g in graphs:
         parents = table.entries.get(g.id)
         if not parents:
             continue
-        gid, labels, srcs, dsts = g.id, g.labels, g.srcs, g.dsts
-        by_src, by_dst, _ = g.edge_index()
+        labels, srcs, dsts, incident = g.labels, g.srcs, g.dsts, g.incident()
+        kids: dict[tuple, list[Entry]] = {}
         for nodes, last in parents:
             start = last + 1
             if not nodes:
                 for (sl, dl), positions in g.label_pair_index().items():
-                    for j in range(bisect_left(positions, start), len(positions)):
-                        pos = positions[j]
-                        if srcs[pos] != dsts[pos]:
-                            add((0, -1, -1, sl, dl), gid, ((srcs[pos], dsts[pos]), pos))
+                    out = [((srcs[pos], dsts[pos]), pos)
+                           for pos in positions[bisect_left(positions, start):] if srcs[pos] != dsts[pos]]
+                    if out:
+                        kids.setdefault((0, -1, -1, sl, dl), []).extend(out)
                 continue
             inverse = {dn: i for i, dn in enumerate(nodes)}
             for i, v in enumerate(nodes):
-                out_edges = by_src.get(v, ())
-                for j in range(bisect_left(out_edges, start), len(out_edges)):
-                    pos = out_edges[j]
-                    dst = dsts[pos]
-                    if dst == v:
-                        continue
-                    di = inverse.get(dst)
-                    if di is None:
-                        add((1, i, -1, "", labels[dst]), gid, (nodes + (dst,), pos))
+                edges = incident[v]
+                if not edges or edges[-1] < start:
+                    continue
+                for j in range(bisect_left(edges, start), len(edges)):
+                    pos = edges[j]
+                    if srcs[pos] == v:
+                        dst = dsts[pos]
+                        di = inverse.get(dst)
+                        if di is None:
+                            key, child = (1, i, -1, "", labels[dst]), (nodes + (dst,), pos)
+                        else:
+                            key, child = (3, i, di, "", ""), (nodes, pos)
                     else:
-                        add((3, i, di, "", ""), gid, (nodes, pos))
-                in_edges = by_dst.get(v, ())
-                for j in range(bisect_left(in_edges, start), len(in_edges)):
-                    pos = in_edges[j]
-                    src = srcs[pos]
-                    if src not in inverse:
-                        add((2, -1, i, labels[src], ""), gid, (nodes + (src,), pos))
+                        src = srcs[pos]
+                        if src in inverse:
+                            continue  # an inward edge, taken from its source's side
+                        key, child = (2, -1, i, labels[src], ""), (nodes + (src,), pos)
+                    out = kids.get(key)
+                    if out is None:
+                        kids[key] = [child]
+                    else:
+                        out.append(child)
+        for key, out in kids.items():
+            if len(out) > cap:
+                truncated.setdefault(key, set()).add(g.id)
+                del out[cap:]
+            entries.setdefault(key, {})[g.id] = tuple(out)
     result: dict[Extension, EmbeddingTable] = {}
     for key in sorted(entries):
         bad = truncated.get(key, set())
         if table.truncated:
             bad = bad | set(table.truncated)
-        kids = {gid: tuple(out) for gid, out in entries[key].items()}
-        result[_extension(key)] = EmbeddingTable(kids, frozenset(bad))
+        result[_extension(key)] = EmbeddingTable(entries[key], frozenset(bad))
     return result

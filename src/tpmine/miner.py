@@ -16,6 +16,7 @@ below every pattern in the final top-k.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import time
 from dataclasses import dataclass
@@ -217,6 +218,10 @@ def mine(
     every pattern with at least one positive embedding and at most max_edges
     edges is either visited and scored or pruned with a certificate that its
     whole branch scores strictly below the reported maximum.
+
+    The search makes no cyclic garbage, so the process's cyclic garbage
+    collector is paused while it runs and then restored to the caller's
+    state (left off if it was off), also when ``on_visit`` raises.
     """
     cfg = cfg.validated()
     _check_dataset(positives, "positive")
@@ -321,8 +326,15 @@ def mine(
         return branch_max, reach
 
     all_negs = {g.id: Embedding((), ()) for g in session.negatives}
-    for seedling, seed_table, freq_p in session.children(empty_pattern(), empty_table(session.positives)):
-        visit(seedling, seed_table, None, all_negs, freq_p)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for seedling, seed_table, freq_p in session.children(empty_pattern(), empty_table(session.positives)):
+            visit(seedling, seed_table, None, all_negs, freq_p)
+    finally:
+        del visit  # visit refers to itself through its closure cell; this frees the session
+        if gc_was_enabled:
+            gc.enable()
 
     model = InterestModel.from_graphs(
         list(session.positives) + list(session.negatives), cfg.blacklist

@@ -72,19 +72,28 @@ class ResidualSignature:
 
 
 def residual_signature(table: EmbeddingTable, graphs: Sequence[TemporalGraph]) -> ResidualSignature:
-    """Single pass over the embedding table; one residual per match, the edges after its last."""
+    """Single pass over the embedding table; one residual per match, the edges after its last.
+
+    Most graphs hold one match, whose residual is read without sorting.
+    """
     total = 0
     profile: list[tuple[str, tuple[int, ...]]] = []
     starts: list[tuple[TemporalGraph, int]] = []
+    entries = table.entries
     for g in graphs:
-        embs = table.entries.get(g.id)
+        embs = entries.get(g.id)
         if not embs:
             continue
-        final = g.n_edges - 1
-        sizes = sorted(final - last for _, last in embs)
-        profile.append((g.id, tuple(sizes)))
-        starts.append((g, g.n_edges - sizes[-1]))
-        total += sum(sizes)
+        n = len(g.srcs)
+        if len(embs) == 1:
+            size = n - 1 - embs[0][1]
+            sizes = (size,)
+            total += size
+        else:
+            sizes = tuple(sorted([n - 1 - last for _, last in embs]))
+            total += sum(sizes)
+        profile.append((g.id, sizes))
+        starts.append((g, n - sizes[-1]))
     return ResidualSignature(total, tuple(profile), tuple(starts), exact=table.exact)
 
 

@@ -358,6 +358,7 @@ def find_embeddings(
         return False
 
     rec(0, -1, float("inf"))
+    del rec  # rec refers to itself through its closure cell; this frees both without the collector
     return out
 
 

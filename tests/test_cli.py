@@ -334,3 +334,45 @@ def test_match_report_not_an_object_is_data_error(workspace, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and "report" in err[0], err
+
+
+@pytest.mark.parametrize("command", ["match", "verify"])
+def test_report_patterns_not_a_list_is_data_error(workspace, tmp_path, capsys, command):
+    data = workspace / "data"
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"patterns": 5}))
+    args = {"match": ["--queries", str(report), "--graph", str(data / "test.tg"),
+                      "--out", str(tmp_path / "instances.json")],
+            "verify": ["--report", str(report), "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg")]}
+    capsys.readouterr()
+    code = main([command] + args[command])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "patterns" in err[0], err
+
+
+@pytest.mark.parametrize("config", [[], 5, "planted"])
+def test_match_config_not_an_object_is_data_error(workspace, tmp_path, capsys, config):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"config": config, "patterns": []}))
+    capsys.readouterr()
+    code = main(["match", "--queries", str(report), "--graph", str(workspace / "data" / "test.tg"),
+                 "--out", str(tmp_path / "instances.json")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "config" in err[0], err
+
+
+def test_match_without_config_keeps_default_behavior(workspace, tmp_path):
+    data = workspace / "data"
+    report = tmp_path / "report.json"
+    assert main(["mine", "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg"),
+                 "--max-edges", "2", "--behavior", "planted", "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    del doc["config"]
+    report.write_text(json.dumps(doc))
+    instances = tmp_path / "instances.json"
+    assert main(["match", "--queries", str(report), "--graph", str(data / "test.tg"),
+                 "--out", str(instances)]) == 0
+    found = json.loads(instances.read_text())["instances"]
+    assert found and {item["behavior"] for item in found} == {"behavior"}

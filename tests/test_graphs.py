@@ -262,3 +262,12 @@ def test_edge_indexes_hold_position_tuples():
     assert g.label_pair_index() == {("B", "A"): (0,), ("A", "B"): (1, 2), ("A", "A"): (3,)}
     groups = [by_src, by_dst, by_pair, g.label_pair_index()]
     assert all(type(v) is tuple for group in groups for v in group.values())
+
+
+def test_incident_index_lists_non_loop_edges_per_node():
+    # Positions in time order per node id; an edge between two nodes is listed under both.
+    g = validate("g", ["A", "B", "A", "C"], [(0, 1, 4), (1, 2, 2), (0, 1, 7), (2, 2, 9), (2, 0, 12)],
+                 allow_self_loops=True)
+    assert g.incident() == ((1, 2, 4), (0, 1, 2), (0, 4), ())
+    assert type(g.incident()) is tuple and all(type(v) is tuple for v in g.incident())
+    assert g.incident() is g.incident()

@@ -1,13 +1,15 @@
 """Mining sessions: exactness, anti-monotonicity, determinism, and config handling."""
 
+import gc
 import json
 import random
 
 import pytest
 
-from tpmine.datakit import result_to_dict
+from tpmine.datakit import generate_synthetic, preset_spec, result_to_dict
 from tpmine.graphs import canonical_pattern, validate
 from tpmine.growth import EmbeddingTable, empty_pattern
+from tpmine.matcher import find_instances
 from tpmine.miner import ConfigInvalid, EmptyDataset, MiningConfig, _Session, mine
 from tpmine.oracle import oracle_best_score, oracle_frequency
 from tpmine.scoring import LogRatio
@@ -303,3 +305,41 @@ class TestPruningReducesWork:
             )
             assert full.stats.patterns_visited <= none.stats.patterns_visited
             assert full.max_score == pytest.approx(none.max_score, abs=1e-12)
+
+
+class TestCyclicCollector:
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_search_makes_no_cyclic_garbage(self):
+        data = generate_synthetic(preset_spec("small"), seed=3)
+        gc.collect()
+        gc.disable()
+        for cfg in (MiningConfig(min_freq_p=0.5), MiningConfig(min_freq_p=0.0, max_edges=4)):
+            result = mine(data.positives, data.negatives, cfg)
+            assert result.stats.patterns_visited > 10
+        instances = find_instances(result.ranked[0].pattern, data.test_graph)
+        assert instances
+        del result, instances
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_mine_leaves_collector_state_as_found(self, enabled):
+        positives, negatives = desk_instance(4)
+        (gc.enable if enabled else gc.disable)()
+        mine(positives, negatives, MiningConfig(max_edges=3))
+        assert gc.isenabled() is enabled
+
+        def hook(*_):
+            assert gc.isenabled() is False
+            raise RuntimeError("hook failed")
+
+        with pytest.raises(RuntimeError, match="hook failed"):
+            mine(positives, negatives, MiningConfig(max_edges=3), on_visit=hook)
+        assert gc.isenabled() is enabled
