@@ -63,7 +63,7 @@ def sig(p):
 
 s1, s2 = sig(g1), sig(g2)
 print(f"\nresidual integers: {s1.i_value} vs {s2.i_value} (equal)")
-print(f"residual profiles: {s1.profile} vs {s2.profile} (different)")
+print(f"residual sizes: {s1.sizes} vs {s2.sizes} (different)")
 print(f"direct comparison: {oracle_residual_equal(g1, g2, [G])}")
 print(f"'int' mode says equivalent:     {signatures_equivalent(s1, s2, 'int')}")
 print(f"'profile' mode says equivalent: {signatures_equivalent(s1, s2, 'profile')}")

@@ -11,7 +11,7 @@ timestamp map.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import eq, lt
@@ -48,13 +48,19 @@ class NotTConnected(GraphError):
     pass
 
 
-def _frozen(groups: dict) -> dict:
-    """The same groups with tuples for lists.
+def _csr(codes: list[int], m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """CSR groups from packed codes ``node * m + pos``: the positions grouped by node id, in
+    time order within a group, and the n + 1 offsets where each node's group starts."""
+    codes.sort()
+    return tuple([c % m for c in codes]), tuple([bisect_left(codes, v * m) for v in range(n + 1)])
 
-    Graphs never change, and tuples of ints drop out of the cyclic garbage
-    collector's scans.
-    """
-    return {key: tuple(items) for key, items in groups.items()}
+
+def _code_range(codes: tuple[int, ...], key: int, m: int, after: int) -> tuple[tuple, int, int, int]:
+    """(codes, base, lo, hi): codes[lo:hi] are the sorted packed codes ``key * m + pos`` with
+    pos past ``after``, and ``code - base`` is the edge position of each."""
+    base = key * m
+    lo = bisect_right(codes, base + after)
+    return codes, base, lo, bisect_left(codes, base + m, lo)
 
 
 class TemporalGraph:
@@ -87,34 +93,48 @@ class TemporalGraph:
         ts = self.timestamps
         return len(ts) - bisect_right(ts, t)
 
-    def edge_index(self) -> tuple[dict, dict, dict]:
-        """Edge positions in time order, grouped by source, by destination and by node pair.
+    def edge_index(self) -> tuple[tuple[tuple, tuple], tuple[tuple, tuple], tuple[int, ...]]:
+        """Edge positions in time order by source and by destination, as CSR groups (see ``_csr``),
+        and by node pair as the sorted codes ``(src * n_nodes + dst) * n_edges + pos``.
 
-        Cached; each group maps its key to a tuple of positions.
+        Each column is cached as its own flat tuple of ints: the cyclic collector visits a
+        container before its items and untracks a tuple only once its items are untracked, so
+        one collection untracks flat columns but not tuples of them.
         """
-        idx = self._cache.get("edge_index")
-        if idx is None:
-            by_src: dict[int, list[int]] = {}
-            by_dst: dict[int, list[int]] = {}
-            by_pair: dict[tuple[int, int], list[int]] = {}
-            for pos, (src, dst) in enumerate(zip(self.srcs, self.dsts)):
-                by_src.setdefault(src, []).append(pos)
-                by_dst.setdefault(dst, []).append(pos)
-                by_pair.setdefault((src, dst), []).append(pos)
-            idx = self._cache["edge_index"] = (_frozen(by_src), _frozen(by_dst), _frozen(by_pair))
-        return idx
+        c = self._cache
+        if "by_pair" not in c:
+            m, n, srcs, dsts = len(self.srcs), len(self.labels), self.srcs, self.dsts
+            c["src_positions"], c["src_offsets"] = _csr([s * m + p for p, s in enumerate(srcs)], m, n)
+            c["dst_positions"], c["dst_offsets"] = _csr([d * m + p for p, d in enumerate(dsts)], m, n)
+            c["by_pair"] = tuple(sorted([(s * n + d) * m + p for p, (s, d) in enumerate(zip(srcs, dsts))]))
+        return (c["src_positions"], c["src_offsets"]), (c["dst_positions"], c["dst_offsets"]), c["by_pair"]
 
-    def incident(self) -> tuple[tuple[int, ...], ...]:
-        """Per node id, the positions of its non-loop edges in time order (cached)."""
-        inc = self._cache.get("incident")
-        if inc is None:
-            lists: list[list[int]] = [[] for _ in self.labels]
-            for pos, (src, dst) in enumerate(zip(self.srcs, self.dsts)):
-                if src != dst:
-                    lists[src].append(pos)
-                    lists[dst].append(pos)
-            inc = self._cache["incident"] = tuple(map(tuple, lists))
-        return inc
+    def edge_range(self, src: int, dst: int, after: int = -1) -> tuple[tuple, int, int, int]:
+        """(column, base, lo, hi): ``column[i] - base`` for i in [lo, hi) are the time-ordered
+        positions past ``after`` of the edges from ``src`` to ``dst``, one of which may be -1
+        (any node), read from the tightest ``edge_index`` column."""
+        c = self._cache
+        if "by_pair" not in c:
+            self.edge_index()
+        if src < 0:
+            positions, offsets, v = c["dst_positions"], c["dst_offsets"], dst
+        elif dst < 0:
+            positions, offsets, v = c["src_positions"], c["src_offsets"], src
+        else:
+            return _code_range(c["by_pair"], src * len(self.labels) + dst, len(self.srcs), after)
+        hi = offsets[v + 1]
+        return positions, 0, bisect_right(positions, after, offsets[v], hi), hi
+
+    def incident(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per node id, the positions of its non-loop edges in time order, as CSR groups (cached flat,
+        as in ``edge_index``)."""
+        c = self._cache
+        if "incident_positions" not in c:
+            m = len(self.srcs)
+            c["incident_positions"], c["incident_offsets"] = _csr(
+                [v * m + p for p, (s, d) in enumerate(zip(self.srcs, self.dsts)) if s != d for v in (s, d)],
+                m, len(self.labels))
+        return c["incident_positions"], c["incident_offsets"]
 
     def last_label_positions(self) -> dict[str, int]:
         """Per node label, the last edge position with an endpoint of that label (cached)."""
@@ -127,16 +147,26 @@ class TemporalGraph:
             self._cache["last_label_positions"] = last
         return last
 
-    def label_pair_index(self) -> dict[tuple[str, str], tuple[int, ...]]:
-        """Edge positions in time order grouped by (source label, destination label); cached."""
-        idx = self._cache.get("label_pair_index")
-        if idx is None:
-            labels = self.labels
-            lists: dict[tuple[str, str], list[int]] = {}
-            for i, (src, dst) in enumerate(zip(self.srcs, self.dsts)):
-                lists.setdefault((labels[src], labels[dst]), []).append(i)
-            idx = self._cache["label_pair_index"] = _frozen(lists)
-        return idx
+    def label_pair_index(self) -> tuple[dict[str, int], tuple[int, ...]]:
+        """Per-graph label ids, and the sorted codes ``(id(src label) * n_ids + id(dst label)) *
+        n_edges + pos`` grouping edge positions in time order by label pair (cached flat, as in
+        ``edge_index``)."""
+        c = self._cache
+        if "label_pairs" not in c:
+            ids: dict[str, int] = {}
+            lid = [ids.setdefault(lab, len(ids)) for lab in self.labels]
+            k, m = len(ids), len(self.srcs)
+            c["label_ids"], c["label_pairs"] = ids, tuple(sorted(
+                [(lid[s] * k + lid[d]) * m + p for p, (s, d) in enumerate(zip(self.srcs, self.dsts))]))
+        return c["label_ids"], c["label_pairs"]
+
+    def label_pair_range(self, src_label: str, dst_label: str,
+                         after: int = -1) -> tuple[tuple, int, int, int]:
+        """(column, base, lo, hi) as in ``edge_range``, for the edges with this label pair."""
+        ids, codes = self.label_pair_index()
+        if src_label not in ids or dst_label not in ids:
+            return codes, 0, 0, 0
+        return _code_range(codes, ids[src_label] * len(ids) + ids[dst_label], len(self.srcs), after)
 
     def degree_profile(self) -> tuple:
         """Per-node (in degree, out degree, in-neighbor label counts, out-neighbor label counts)."""

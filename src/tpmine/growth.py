@@ -79,9 +79,6 @@ class EmbeddingTable:
     def exact(self) -> bool:
         return not self.truncated
 
-    def support_ids(self) -> list[str]:
-        return [gid for gid, embs in self.entries.items() if embs]
-
     def total_embeddings(self) -> int:
         return sum(len(v) for v in self.entries.values())
 
@@ -156,9 +153,9 @@ def expand(
 
     Each data edge after a match's last edge and touching its image, read
     from the graph's incident index, is classified once by which endpoints
-    the match maps; the empty pattern's seeds come from the label-pair index
-    instead.  One parent's children for one extension come from one index
-    list in edge order, as a plain scan would give them; per graph and
+    the match maps; the empty pattern's seeds are every non-loop edge.  One
+    parent's children for one extension come from one index group in edge
+    order, as a plain scan would give them; per graph and
     extension the first ``cap`` children are kept.  Buckets are plain
     tuples ordered like ``Extension.sort_key``; keys come back in that
     order, with one Extension built per distinct key.
@@ -169,24 +166,24 @@ def expand(
         parents = table.entries.get(g.id)
         if not parents:
             continue
-        labels, srcs, dsts, incident = g.labels, g.srcs, g.dsts, g.incident()
+        labels, srcs, dsts = g.labels, g.srcs, g.dsts
+        incident, offsets = g.incident()
         kids: dict[tuple, list[Entry]] = {}
         for nodes, last in parents:
             start = last + 1
             if not nodes:
-                for (sl, dl), positions in g.label_pair_index().items():
-                    out = [((srcs[pos], dsts[pos]), pos)
-                           for pos in positions[bisect_left(positions, start):] if srcs[pos] != dsts[pos]]
-                    if out:
-                        kids.setdefault((0, -1, -1, sl, dl), []).extend(out)
+                for pos in range(start, len(srcs)):
+                    src, dst = srcs[pos], dsts[pos]
+                    if src != dst:
+                        kids.setdefault((0, -1, -1, labels[src], labels[dst]), []).append(((src, dst), pos))
                 continue
             inverse = {dn: i for i, dn in enumerate(nodes)}
             for i, v in enumerate(nodes):
-                edges = incident[v]
-                if not edges or edges[-1] < start:
+                hi = offsets[v + 1]
+                if hi == offsets[v] or incident[hi - 1] < start:
                     continue
-                for j in range(bisect_left(edges, start), len(edges)):
-                    pos = edges[j]
+                for j in range(bisect_left(incident, start, offsets[v], hi), hi):
+                    pos = incident[j]
                     if srcs[pos] == v:
                         dst = dsts[pos]
                         di = inverse.get(dst)

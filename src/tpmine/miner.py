@@ -163,15 +163,16 @@ class _Session:
 
         A graph whose parent list was truncated may lose all stored children
         while still containing the pattern, so absence there is re-checked
-        with a first-match search and a found witness is kept.
+        with a first-match search and a found witness is kept.  ``expand``
+        stores no empty tuple, so every graph in the table supports it.
         """
         for gid in table.truncated:
-            if not table.entries.get(gid):
+            if gid not in table.entries:
                 g = self.pos_by_id[gid]
                 witness = self.first_match(pattern, g)
                 if witness is not None:
                     table.entries[gid] = table_entries(g, [witness])
-        return len(table.support_ids())
+        return len(table.entries)
 
     def children(self, pattern: TemporalPattern, table: EmbeddingTable) -> Iterator[tuple]:
         """(child, child table, freq_p) per one-edge growth that meets the support floor."""

@@ -18,10 +18,10 @@ pattern proves it cannot reach the current score threshold:
 - subgraph pruning: the current pattern is a temporal subgraph of an already
   fully explored pattern with identical positive residuals whose surplus
   node labels never appear in the current pattern's residual.  The residual
-  label set is never built: a signature keeps, per graph, where its longest
-  residual starts, and a surplus label occurs in that residual iff the
-  graph's last edge touching the label is at or after the start (a per-graph
-  index built once);
+  label set is never built: a graph's longest residual starts at its edge
+  count minus its largest residual size, and a surplus label occurs in that
+  residual iff the graph's last edge touching the label is at or after the
+  start (a per-graph index built once);
 - supergraph pruning: the current pattern is a temporal supergraph of an
   already fully explored pattern with the same node count and identical
   positive and negative residuals.
@@ -45,20 +45,23 @@ from .sequences import find_embeddings, temporal_subgraph_test  # noqa: F401
 
 @dataclass(frozen=True)
 class ResidualSignature:
-    """Aggregated residual structure of a pattern over one graph set.
+    """Aggregated residual structure of a pattern over one graph set, in flat columns.
 
-    ``i_value`` sums residual sizes over every embedding of every graph;
-    ``profile`` keeps the per-graph sorted multisets the sum was built from;
-    ``starts`` pairs each graph holding an embedding with the edge position
-    where its longest residual starts (edge count minus the largest size),
-    which is all the surplus-label test reads.  ``exact`` is False when any
-    embedding list was cap-truncated, in which case the pruning rules refuse
-    to use the signature.
+    ``i_value`` sums residual sizes over every embedding of every graph.
+    ``ids`` names each graph holding an embedding, and ``graphs`` holds those
+    graphs; ``sizes`` concatenates each one's sorted residual sizes, and
+    ``ends[j]`` is where graph j's sizes end, so its longest residual starts
+    at edge position ``len(graphs[j].srcs) - sizes[ends[j] - 1]``, which is
+    all the surplus-label test reads.  ``exact`` is False when any embedding
+    list was cap-truncated, in which case the pruning rules refuse to use the
+    signature.
     """
 
     i_value: int
-    profile: tuple[tuple[str, tuple[int, ...]], ...]
-    starts: tuple[tuple[TemporalGraph, int], ...]
+    ids: tuple[str, ...]
+    sizes: tuple[int, ...]
+    ends: tuple[int, ...]
+    graphs: tuple[TemporalGraph, ...]
     exact: bool = True
 
     def residual_has_label(self, labels: Iterable[str]) -> bool:
@@ -67,8 +70,9 @@ class ResidualSignature:
         Later residuals nest inside a graph's longest one, which holds a
         label iff the label's last edge position is at or after its start.
         """
-        return any(g.last_label_positions().get(lab, -1) >= start
-                   for g, start in self.starts for lab in labels)
+        sizes = self.sizes
+        return any(g.last_label_positions().get(lab, -1) >= len(g.srcs) - sizes[end - 1]
+                   for g, end in zip(self.graphs, self.ends) for lab in labels)
 
 
 def residual_signature(table: EmbeddingTable, graphs: Sequence[TemporalGraph]) -> ResidualSignature:
@@ -76,9 +80,10 @@ def residual_signature(table: EmbeddingTable, graphs: Sequence[TemporalGraph]) -
 
     Most graphs hold one match, whose residual is read without sorting.
     """
-    total = 0
-    profile: list[tuple[str, tuple[int, ...]]] = []
-    starts: list[tuple[TemporalGraph, int]] = []
+    ids: list[str] = []
+    sizes: list[int] = []
+    ends: list[int] = []
+    kept: list[TemporalGraph] = []
     entries = table.entries
     for g in graphs:
         embs = entries.get(g.id)
@@ -86,15 +91,13 @@ def residual_signature(table: EmbeddingTable, graphs: Sequence[TemporalGraph]) -
             continue
         n = len(g.srcs)
         if len(embs) == 1:
-            size = n - 1 - embs[0][1]
-            sizes = (size,)
-            total += size
+            sizes.append(n - 1 - embs[0][1])
         else:
-            sizes = tuple(sorted([n - 1 - last for _, last in embs]))
-            total += sum(sizes)
-        profile.append((g.id, sizes))
-        starts.append((g, n - sizes[-1]))
-    return ResidualSignature(total, tuple(profile), tuple(starts), exact=table.exact)
+            sizes += sorted([n - 1 - last for _, last in embs])
+        ids.append(g.id)
+        ends.append(len(sizes))
+        kept.append(g)
+    return ResidualSignature(sum(sizes), tuple(ids), tuple(sizes), tuple(ends), tuple(kept), table.exact)
 
 
 def signatures_equivalent(a: ResidualSignature, b: ResidualSignature, mode: str = "profile") -> bool:
@@ -109,7 +112,7 @@ def signatures_equivalent(a: ResidualSignature, b: ResidualSignature, mode: str 
     if mode == "int":
         return True
     if mode == "profile":
-        return a.profile == b.profile
+        return a.sizes == b.sizes and a.ends == b.ends and a.ids == b.ids
     raise ValueError(f"unknown residual check mode {mode!r}")
 
 

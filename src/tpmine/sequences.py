@@ -245,6 +245,7 @@ def _search_mappings(
         return False
 
     rec(0, 0)
+    del rec  # rec refers to itself through its closure cell; this frees both without the collector
 
 
 def temporal_subgraph_test(
@@ -283,18 +284,15 @@ def _fitting_edges(g: TemporalGraph, plabels: Sequence[str], ps: int, pd: int, f
     can take pattern edge ps -> pd under the node map ``fwd`` (-1: unmapped).
     """
     ds, dd = fwd[ps], fwd[pd]
-    by_src, by_dst, by_pair = g.edge_index()
-    if ds >= 0:
-        cands = by_pair.get((ds, dd), ()) if dd >= 0 else by_src.get(ds, ())
-    elif dd >= 0:
-        cands = by_dst.get(dd, ())
+    if ds >= 0 or dd >= 0:
+        cands, base, lo, hi = g.edge_range(ds, dd, after)
     else:
-        cands = g.label_pair_index().get((plabels[ps], plabels[pd]), ())
+        cands, base, lo, hi = g.label_pair_range(plabels[ps], plabels[pd], after)
     loop = ps == pd
     check_dst = dd < 0 and not loop
     srcs, dsts, times, glabels = g.srcs, g.dsts, g.timestamps, g.labels
-    for i in range(bisect_right(cands, after), len(cands)):
-        pos = cands[i]
+    for i in range(lo, hi):
+        pos = cands[i] - base
         if times[pos] > horizon:
             return
         src, dst = srcs[pos], dsts[pos]
@@ -331,9 +329,9 @@ def find_embeddings(
         return [Embedding((), ())]
     plabels = p.labels
     pedges = list(zip(p.srcs, p.dsts))
-    by_label = g.label_pair_index()
-    if (p.n_edges > g.n_edges or p.n_nodes > g.n_nodes
-            or any((plabels[s], plabels[d]) not in by_label for s, d in pedges)):
+    if p.n_edges > g.n_edges or p.n_nodes > g.n_nodes:
+        return []
+    if any(lo == hi for _, _, lo, hi in (g.label_pair_range(plabels[s], plabels[d]) for s, d in pedges)):
         return []
     m = len(pedges)
     srcs, dsts, times = g.srcs, g.dsts, g.timestamps

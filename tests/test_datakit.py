@@ -246,8 +246,20 @@ class TestTies:
             validate("a", ["A", "B"], [(0, 1, -5), (1, 0, 5), (0, 1, 5)])
 
 
+def _containers(obj) -> list:
+    """obj and every tuple or dict inside it."""
+    out = [obj]
+    for item in out:
+        items = item.values() if isinstance(item, dict) else item
+        out += [v for v in items if isinstance(v, (tuple, dict))]
+    return out
+
+
 def test_pipeline_reads_only_the_edge_columns(tmp_path):
-    """Loading, mining and matching build no edge objects, and the collector tracks no column."""
+    """Loading, mining and matching build no edge objects, and the collector tracks no column.
+
+    Each graph caches its edge indexes as at most nine flat columns, whatever its size.
+    """
     data = generate_synthetic(preset_spec("small"), seed=0)
     path = tmp_path / "all.tg"
     save_dataset(path, [("positive", g) for g in data.positives]
@@ -259,6 +271,12 @@ def test_pipeline_reads_only_the_edge_columns(tmp_path):
     assert not [g.id for g in loaded if "edges" in g._cache]
     gc.collect()
     assert not [g.id for g in loaded for col in (g.srcs, g.dsts, g.timestamps) if gc.is_tracked(col)]
+    index_keys = {"src_positions", "src_offsets", "dst_positions", "dst_offsets", "by_pair",
+                  "incident_positions", "incident_offsets", "label_ids", "label_pairs"}
+    cached = [(g.id, key, g._cache[key]) for g in loaded for key in sorted(index_keys & g._cache.keys())]
+    assert {key for _, key, _ in cached} == index_keys
+    assert not [(gid, key) for gid, key, col in cached if _containers(col) != [col]]
+    assert not [(gid, key) for gid, key, col in cached if gc.is_tracked(col)]
 
 
 class TestReplicate:

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -253,21 +254,78 @@ def test_pattern_key_identifies_equality(seed):
 
 
 def test_edge_indexes_hold_position_tuples():
-    # Graphs never change, so their cached indexes hold tuples, in time order.
+    # Graphs never change, so each cached index is a few flat tuples of ints: CSR groups (edge
+    # positions by node id, in time order, then the n + 1 offsets) or sorted codes key * m + pos.
     g = validate("g", ["A", "B", "A"], [(0, 1, 4), (1, 2, 2), (0, 1, 7), (2, 2, 9)], allow_self_loops=True)
     by_src, by_dst, by_pair = g.edge_index()
-    assert by_src == {0: (1, 2), 1: (0,), 2: (3,)}
-    assert by_dst == {1: (1, 2), 2: (0, 3)}
-    assert by_pair == {(0, 1): (1, 2), (1, 2): (0,), (2, 2): (3,)}
-    assert g.label_pair_index() == {("B", "A"): (0,), ("A", "B"): (1, 2), ("A", "A"): (3,)}
-    groups = [by_src, by_dst, by_pair, g.label_pair_index()]
-    assert all(type(v) is tuple for group in groups for v in group.values())
+    assert by_src == ((1, 2, 0, 3), (0, 2, 3, 4))  # {0: (1, 2), 1: (0,), 2: (3,)}
+    assert by_dst == ((1, 2, 0, 3), (0, 0, 2, 4))  # {1: (1, 2), 2: (0, 3)}
+    # (src * 3 + dst) * 4 + pos: {(0, 1): (1, 2), (1, 2): (0,), (2, 2): (3,)}
+    assert by_pair == (5, 6, 20, 35)
+    ids, codes = g.label_pair_index()
+    assert (ids, codes) == ({"A": 0, "B": 1}, (3, 5, 6, 8))  # (id(src label) * 2 + id(dst label)) * 4 + pos
+    by_label = {pair: _positions(*g.label_pair_range(*pair))
+                for pair in [("B", "A"), ("A", "B"), ("A", "A"), ("B", "B"), ("A", "Z")]}
+    assert by_label == {("B", "A"): (0,), ("A", "B"): (1, 2), ("A", "A"): (3,),
+                        ("B", "B"): (), ("A", "Z"): ()}
+    assert _positions(*g.label_pair_range("A", "B", after=1)) == (2,)
+    assert _positions(*g.edge_range(0, 1, after=1)) == (2,) and _positions(*g.edge_range(-1, 2)) == (0, 3)
+    columns = [*by_src, *by_dst, by_pair, codes, *g.incident()]
+    assert all(type(col) is tuple and all(type(v) is int for v in col) for col in columns)
+    assert all(a is b for a, b in zip(columns, [*by_src, *by_dst, g.edge_index()[2], g.label_pair_index()[1],
+                                                *g.incident()]))
 
 
 def test_incident_index_lists_non_loop_edges_per_node():
     # Positions in time order per node id; an edge between two nodes is listed under both.
     g = validate("g", ["A", "B", "A", "C"], [(0, 1, 4), (1, 2, 2), (0, 1, 7), (2, 2, 9), (2, 0, 12)],
                  allow_self_loops=True)
-    assert g.incident() == ((1, 2, 4), (0, 1, 2), (0, 4), ())
-    assert type(g.incident()) is tuple and all(type(v) is tuple for v in g.incident())
-    assert g.incident() is g.incident()
+    positions, offsets = g.incident()
+    assert offsets == (0, 3, 6, 8, 8)
+    assert [positions[lo:hi] for lo, hi in zip(offsets, offsets[1:])] == [(1, 2, 4), (0, 1, 2), (0, 4), ()]
+    assert all(a is b for a, b in zip(g.incident(), (positions, offsets)))
+
+
+def _positions(column, base, lo, hi):
+    """The edge positions an ``edge_range`` or ``label_pair_range`` result stands for."""
+    return tuple(c - base for c in column[lo:hi])
+
+
+def _incident_lookup(g, v, after):
+    """Positions past ``after`` of node v's incident group, read as ``expand`` reads them."""
+    positions, offsets = g.incident()
+    hi = offsets[v + 1]
+    return positions[bisect_right(positions, after, offsets[v], hi):hi]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_index_lookups_match_a_filter_over_all_edges(seed):
+    # Every node, node pair and label pair, each past random positions, on random graphs with
+    # self-loops and on one without edges: the lookups give the filter's positions, in order.
+    rng = random.Random(seed)
+    graphs = [validate("empty", ["A", "B"], [])]
+    for i in range(30):
+        n = rng.randint(1, 7)
+        edges = [(rng.randrange(n), rng.randrange(n), t) for t in rng.sample(range(60), rng.randint(1, 25))]
+        graphs.append(validate(f"g{i}", [rng.choice("ABC") for _ in range(n)], edges, allow_self_loops=True))
+    checked = 0
+    for g in graphs:
+        m, n, srcs, dsts, labels = g.n_edges, g.n_nodes, g.srcs, g.dsts, g.labels
+        for after in sorted({-1, m - 1, m} | {rng.randint(-1, m) for _ in range(3)}):
+            def brute(keep):
+                return tuple(p for p in range(after + 1, m) if keep(p))
+
+            for v in range(n):
+                assert _positions(*g.edge_range(v, -1, after)) == brute(lambda p: srcs[p] == v)
+                assert _positions(*g.edge_range(-1, v, after)) == brute(lambda p: dsts[p] == v)
+                assert _incident_lookup(g, v, after) == brute(
+                    lambda p: srcs[p] != dsts[p] and v in (srcs[p], dsts[p]))
+                for w in range(n):
+                    got = _positions(*g.edge_range(v, w, after))
+                    assert got == brute(lambda p: (srcs[p], dsts[p]) == (v, w))
+                    checked += 1
+            for a in "ABCZ":
+                for b in "ABCZ":
+                    got = _positions(*g.label_pair_range(a, b, after))
+                    assert got == brute(lambda p: (labels[srcs[p]], labels[dsts[p]]) == (a, b))
+    assert checked > 1000

@@ -126,7 +126,7 @@ class TestExtendEmbeddings:
         p = grow(empty_pattern(), seed)
         table = extend_embeddings(root_table([g]), seed, [g])
         out = extend_embeddings(table, Extension("forward", src=1, dst_label="A"), [g])
-        assert out.support_ids() == []
+        assert out.entries == {}
 
     def test_children_verify_against_grown_pattern(self):
         rng = random.Random(8)

@@ -13,7 +13,7 @@ from tpmine.matcher import find_instances
 from tpmine.miner import ConfigInvalid, EmptyDataset, MiningConfig, _Session, mine
 from tpmine.oracle import oracle_best_score, oracle_frequency
 from tpmine.scoring import LogRatio
-from tpmine.sequences import find_embeddings, first_extension
+from tpmine.sequences import find_embeddings, first_extension, temporal_subgraph_test
 
 from conftest import desk_instance, embedded_pattern, random_graph, random_pattern
 
@@ -22,7 +22,7 @@ def frequency(table: EmbeddingTable, set_size: int) -> float:
     """Fraction of graphs containing at least one embedding, as the miner counts support."""
     if set_size <= 0:
         raise ValueError("set_size must be positive")
-    return len(table.support_ids()) / set_size
+    return sum(1 for embs in table.entries.values() if embs) / set_size
 
 
 class TestFrequency:
@@ -326,7 +326,9 @@ class TestCyclicCollector:
             assert result.stats.patterns_visited > 10
         instances = find_instances(result.ranked[0].pattern, data.test_graph)
         assert instances
-        del result, instances
+        witnesses = [temporal_subgraph_test(result.ranked[0].pattern, g) for g in data.positives]
+        assert any(witnesses)
+        del result, instances, witnesses
         assert gc.collect() == 0
 
     @pytest.mark.parametrize("enabled", [True, False])

@@ -43,9 +43,15 @@ class ResidualView:
     label_set: frozenset
 
 
+def profile(sig: ResidualSignature) -> tuple:
+    """The per-graph (graph id, sorted residual sizes) pairs the signature's columns hold."""
+    return tuple((gid, sig.sizes[lo:hi]) for gid, lo, hi in zip(sig.ids, (0,) + sig.ends, sig.ends))
+
+
 def label_union(sig: ResidualSignature) -> frozenset:
     """Every label on a node incident to a residual edge of the signature's graphs."""
-    return frozenset(lab for g, start in sig.starts
+    starts = [(g, g.n_edges - sig.sizes[end - 1]) for g, end in zip(sig.graphs, sig.ends)]
+    return frozenset(lab for g, start in starts
                      for lab, last in g.last_label_positions().items() if last >= start)
 
 
@@ -62,14 +68,14 @@ class TestResidualSignature:
         assert g.n_edges == 12
         sig = residual_signature(empty_table([g]), [g])
         assert sig.i_value == 12
-        assert sig.profile == (("g", (12,)),)
+        assert (sig.ids, sig.sizes, sig.ends, sig.graphs) == (("g",), (12,), (1,), (g,))
 
     def test_match_on_final_edge_contributes_zero(self):
         g = validate("g", ["A", "B", "C"], [(0, 1, 1), (1, 2, 2)])
         p = canonical_pattern(["B", "C"], [(0, 1, 1)])
         sig = sig_of(p, [g])
         assert sig.i_value == 0
-        assert sig.profile == (("g", (0,)),)
+        assert (sig.ids, sig.sizes, sig.ends, sig.graphs) == (("g",), (0,), (1,), (g,))
 
     def test_matches_oracle_recount(self):
         rng = random.Random(2)
@@ -84,8 +90,19 @@ class TestResidualSignature:
                 g.edges_after(emb.max_data_time) for emb in oracle_embeddings(p, g)
             )
             assert sig.i_value == sum(oracle_sizes)
-            assert sig.profile == ((g.id, tuple(oracle_sizes)),)
+            assert profile(sig) == ((g.id, tuple(oracle_sizes)),)
+            assert sig.ends == (len(oracle_sizes),)
             checked += 1
+
+    def test_columns_concatenate_sorted_sizes_of_supporting_graphs(self):
+        # Graphs without a match are left out; ends[j] closes graph j's sorted sizes.
+        g0 = validate("g0", ["A", "B"], [(0, 1, 1), (0, 1, 2), (0, 1, 3)])
+        g1 = validate("g1", ["C", "D"], [(0, 1, 1)])
+        g2 = validate("g2", ["A", "B", "C"], [(0, 1, 1), (1, 2, 2)])
+        sig = sig_of(canonical_pattern(["A", "B"], [(0, 1, 1)]), [g0, g1, g2])
+        assert (sig.ids, sig.sizes, sig.ends, sig.graphs) == (("g0", "g2"), (0, 1, 2, 1), (3, 4), (g0, g2))
+        assert sig.i_value == 4
+        assert profile(sig) == (("g0", (0, 1, 2)), ("g2", (1,)))
 
     def test_label_union_covers_residual_edges(self):
         g = validate("g", ["A", "B", "C", "D"], [(0, 1, 1), (1, 2, 2), (2, 3, 3)])
@@ -155,7 +172,7 @@ class TestSignatureEquivalence:
         g2 = canonical_pattern(["A", "B", "C"], [(0, 1, 1), (1, 2, 2)])
         s1, s2 = sig_of(g1, [G]), sig_of(g2, [G])
         assert s1.i_value == s2.i_value == 3
-        assert s1.profile != s2.profile
+        assert profile(s1) != profile(s2)
         assert signatures_equivalent(s1, s2, "int")
         assert not signatures_equivalent(s1, s2, "profile")
         assert not oracle_residual_equal(g1, g2, [G])
@@ -348,7 +365,7 @@ class TestSupergraphPruneCheck:
         g2 = canonical_pattern(["A", "B"], [(0, 1, 1), (0, 1, 2)])
         s1, s2 = sig_of(g1, pos), sig_of(g2, pos)
         assert s1.i_value == s2.i_value == 17
-        assert s1.profile != s2.profile
+        assert profile(s1) != profile(s2)
         registry = PatternRegistry()
         entry = registry.add(g1, s1)
         entry.neg_support = frozenset()
