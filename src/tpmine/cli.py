@@ -24,7 +24,7 @@ from pathlib import Path
 from . import datakit, matcher, oracle
 from .graphs import GraphError
 from .miner import ConfigInvalid, EmptyDataset, MiningConfig, mine
-from .scoring import GTest, make_score_function, load_blacklist
+from .scoring import make_score_function, load_blacklist
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -54,11 +54,13 @@ def _cmd_gen(args) -> int:
     overrides = {}
     if args.spec:
         overrides = json.loads(Path(args.spec).read_text())
+        if not isinstance(overrides, dict):
+            raise datakit.SpecInvalid("spec file is not a JSON object")
         translated = {}
         for key, value in overrides.items():
             if key not in _SPEC_FIELDS:
                 raise datakit.SpecInvalid(f"unknown spec field {key!r}")
-            if key == "plantedLabels" and value is not None:
+            if key == "plantedLabels" and isinstance(value, list):
                 value = tuple(value)
             translated[_SPEC_FIELDS[key]] = value
         spec = replace(spec, **translated).validated()
@@ -79,11 +81,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_mine(args) -> int:
+    score_fn = make_score_function(args.score)
+    for flag, attr, value in (("--epsilon", "epsilon", args.epsilon),
+                              ("--gtest-scale", "scale", args.gtest_scale)):
+        if value is not None:
+            if not hasattr(score_fn, attr):
+                print(f"error: {flag} does not apply to --score {args.score}", file=sys.stderr)
+                return USAGE_ERROR
+            score_fn = replace(score_fn, **{attr: value})
     positives = datakit.load_dataset(args.pos, tie_policy=args.tie_policy)[0]
     negatives = datakit.load_dataset(args.neg, tie_policy=args.tie_policy)[1]
-    score_fn = make_score_function(args.score, epsilon=args.epsilon)
-    if isinstance(score_fn, GTest) and args.gtest_scale is not None:
-        score_fn = GTest(epsilon=args.epsilon, scale=args.gtest_scale)
     blacklist = load_blacklist(args.blacklist) if args.blacklist else frozenset()
     cfg = MiningConfig(
         max_edges=args.max_edges,
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic corpus")
     p.add_argument("--preset", default="medium", choices=sorted(datakit.PRESETS))
     p.add_argument("--spec", help="JSON file overriding preset fields")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_gen)
 
@@ -260,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edges", type=int, default=6)
     p.add_argument("--top-k", type=int, default=5)
     p.add_argument("--score", default="logratio", choices=["logratio", "gtest", "infogain"])
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--gtest-scale", type=float, default=None)
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="smoothing of logratio and gtest (default 1e-6)")
+    p.add_argument("--gtest-scale", type=float, default=None, help="scale of gtest")
     p.add_argument("--no-subgraph-prune", action="store_true")
     p.add_argument("--no-supergraph-prune", action="store_true")
     p.add_argument("--no-bound-prune", action="store_true")

@@ -22,8 +22,11 @@ each episode.
 from __future__ import annotations
 
 import json
+import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -217,6 +220,23 @@ class SyntheticSpec:
     behavior: str = "planted"
 
     def validated(self) -> "SyntheticSpec":
+        """This spec, if every field has its declared type and range; otherwise SpecInvalid.
+
+        Labels and the behavior name must be non-empty and free of whitespace, so that the
+        dataset and ground-truth files the corpus is written to read back unchanged.
+        """
+        for f in fields(self):  # f.type is the annotation's text: annotations are postponed here
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise SpecInvalid(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not (type(value) in (int, float) and math.isfinite(value)):
+                raise SpecInvalid(f"{f.name} must be a finite number, got {value!r}")
+        if self.planted_labels is not None:
+            if not (isinstance(self.planted_labels, tuple) and self.planted_labels):
+                raise SpecInvalid(f"planted_labels must be a non-empty list, got {self.planted_labels!r}")
+            for label in self.planted_labels:
+                _check_token("planted label", label)
+        _check_token("behavior", self.behavior)
         if self.n_positive < 0 or self.n_negative < 0:
             raise SpecInvalid("graph counts must be non-negative")
         if self.nodes < 2 or self.edges < 1:
@@ -225,15 +245,27 @@ class SyntheticSpec:
             raise SpecInvalid("label alphabet must have at least 4 labels")
         if self.planted_edges < 1:
             raise SpecInvalid("the planted pattern needs at least 1 edge")
-        if self.planted_shared_nodes < 0:
-            raise SpecInvalid("planted_shared_nodes must be non-negative")
+        if self.planted_shared_nodes < 0 or self.n_templates < 0:
+            raise SpecInvalid("planted_shared_nodes and n_templates must be non-negative")
         if not (1 <= self.template_edges_lo <= self.template_edges_hi):
             raise SpecInvalid("bad template size range")
         if not (0.0 <= self.template_presence <= 1.0):
             raise SpecInvalid("template_presence must lie in [0, 1]")
         if self.test_episodes < 0 or self.test_segment_edges < 0:
             raise SpecInvalid("test graph sizes must be non-negative")
+        try:
+            finite = math.isfinite(_zipf_cum_weights(self.n_labels, self.zipf_s)[-1])
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise SpecInvalid(f"zipf_s {self.zipf_s} overflows the weights of {self.n_labels} labels")
         return self
+
+
+def _check_token(what: str, value) -> None:
+    """SpecInvalid unless value is a non-empty string without whitespace (one file field)."""
+    if not (isinstance(value, str) and value.split() == [value]):
+        raise SpecInvalid(f"{what} must be non-empty text without whitespace, got {value!r}")
 
 
 PRESETS = {
@@ -268,16 +300,28 @@ class SyntheticDataset:
     seed: int
 
 
-def _zipf_weights(n: int, s: float) -> list[float]:
-    return [1.0 / (r + 1) ** s for r in range(n)]
+def _zipf_cum_weights(n: int, s: float) -> list[float]:
+    """Cumulative Zipf weights: the table ``rng.choices(weights=...)`` would rebuild on every call."""
+    return list(accumulate(1.0 / (r + 1) ** s for r in range(n)))
+
+
+def _randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1, drawn from ``rng.getrandbits`` exactly as CPython's
+    ``Random._randbelow_with_getrandbits`` draws it, without randrange's argument handling.
+    n = 0 would loop forever (``getrandbits(0)`` is 0), where randrange raises."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def _distinct_pair(rng: random.Random, n: int) -> tuple[int, int]:
     """Two distinct node indices below n: the first draw, then redraws of the second until it differs."""
-    u = rng.randrange(n)
-    v = rng.randrange(n)
+    u = _randbelow(rng, n)
+    v = _randbelow(rng, n)
     while v == u:
-        v = rng.randrange(n)
+        v = _randbelow(rng, n)
     return u, v
 
 
@@ -306,7 +350,7 @@ def _assemble_graph(
     gid: str,
     spec: SyntheticSpec,
     alphabet: Sequence[str],
-    weights: Sequence[float],
+    cum_weights: Sequence[float],
     instances: Sequence[TemporalPattern],
 ) -> tuple[TemporalGraph, list[tuple[int, int]]]:
     """Background edges plus embedded instances, merged into one time line.
@@ -315,9 +359,7 @@ def _assemble_graph(
     their relative order survives the merge.  Timestamps then advance by
     random small steps, keeping the total order strict.
     """
-    node_labels: list[str] = [
-        rng.choices(alphabet, weights=weights, k=1)[0] for _ in range(spec.nodes)
-    ]
+    node_labels = rng.choices(alphabet, cum_weights=cum_weights, k=spec.nodes)
     stream: list[tuple[float, int, int, int]] = []
     for _ in range(spec.edges):
         u, v = _distinct_pair(rng, spec.nodes)
@@ -328,15 +370,15 @@ def _assemble_graph(
         keys = sorted(rng.random() for _ in range(inst.n_edges))
         for src, dst, key in zip(inst.srcs, inst.dsts, keys):
             stream.append((key, base + src, base + dst, tag))
-    stream.sort(key=lambda item: item[0])
-    t = rng.randint(1, 5)
+    stream.sort(key=itemgetter(0))
+    t = 1 + _randbelow(rng, 5)
     edges = []
     spans: dict[int, list[int]] = {}
     for _, u, v, tag in stream:
         edges.append((u, v, t))
         if tag >= 0:
             spans.setdefault(tag, []).append(t)
-        t += rng.randint(1, 3)
+        t += 1 + _randbelow(rng, 3)
     graph = validate(gid, node_labels, edges)
     intervals = [(min(spans[tag]), max(spans[tag])) for tag in sorted(spans)]
     return graph, intervals
@@ -346,23 +388,21 @@ def _assemble_test_graph(
     rng: random.Random,
     spec: SyntheticSpec,
     alphabet: Sequence[str],
-    weights: Sequence[float],
+    cum_weights: Sequence[float],
     planted: TemporalPattern,
     templates: Sequence[TemporalPattern],
 ) -> tuple[TemporalGraph, GroundTruth]:
     """Episodes of the planted behavior separated by background traffic."""
     pool_size = max(spec.nodes * 3, 8)
-    node_labels: list[str] = [
-        rng.choices(alphabet, weights=weights, k=1)[0] for _ in range(pool_size)
-    ]
+    node_labels = rng.choices(alphabet, cum_weights=cum_weights, k=pool_size)
     edges: list[tuple[int, int, int]] = []
     truth_entries: list[tuple[str, int, int]] = []
-    t = rng.randint(1, 5)
+    t = 1 + _randbelow(rng, 5)
 
     def advance() -> int:
         nonlocal t
         now = t
-        t += rng.randint(1, 3)
+        t += 1 + _randbelow(rng, 3)
         return now
 
     def background_burst(count: int):
@@ -380,7 +420,7 @@ def _assemble_test_graph(
         for _ in range(mix):
             u, v = _distinct_pair(rng, pool_size)
             stream.append((rng.random(), u, v, False))
-        stream.sort(key=lambda item: item[0])
+        stream.sort(key=itemgetter(0))
         span = []
         for _, u, v, is_planted in stream:
             now = advance()
@@ -411,7 +451,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> SyntheticDataset:
     spec = spec.validated()
     rng = random.Random(seed)
     alphabet = [f"L{i:03d}" for i in range(spec.n_labels)]
-    weights = _zipf_weights(spec.n_labels, spec.zipf_s)
+    cum_weights = _zipf_cum_weights(spec.n_labels, spec.zipf_s)
 
     n_nodes, planted_srcs, planted_dsts = _random_structure(rng, spec.planted_edges)
     if spec.planted_labels is not None:
@@ -450,14 +490,14 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> SyntheticDataset:
     positive_intervals = []
     for i in range(spec.n_positive):
         instances = noise_templates() + [planted]
-        g, intervals = _assemble_graph(rng, f"pos-{i:04d}", spec, alphabet, weights, instances)
+        g, intervals = _assemble_graph(rng, f"pos-{i:04d}", spec, alphabet, cum_weights, instances)
         positives.append(g)
         positive_intervals.append(intervals[-1])
     negatives = []
     for i in range(spec.n_negative):
-        g, _ = _assemble_graph(rng, f"neg-{i:04d}", spec, alphabet, weights, noise_templates())
+        g, _ = _assemble_graph(rng, f"neg-{i:04d}", spec, alphabet, cum_weights, noise_templates())
         negatives.append(g)
-    test_graph, truth = _assemble_test_graph(rng, spec, alphabet, weights, planted, templates)
+    test_graph, truth = _assemble_test_graph(rng, spec, alphabet, cum_weights, planted, templates)
     return SyntheticDataset(
         positives=positives,
         negatives=negatives,

@@ -276,6 +276,83 @@ def test_gen_spec_fields(tmp_path):
     assert labels == {"Q0", "Q1"}
 
 
+def test_negative_gen_seed_is_usage_error(tmp_path, capsys):
+    # Random(-3) seeds as Random(3) would, so a negative seed would silently repeat a corpus
+    assert main(["gen", "--preset", "small", "--seed", "-3", "--out", str(tmp_path / "out")]) == 1
+    assert "--seed: must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, phrase", [
+    ([1], "spec file is not a JSON object"),
+    ("planted", "spec file is not a JSON object"),
+    ({"nodes": 12.0}, "nodes must be an integer"),
+    ({"nPositive": True}, "n_positive must be an integer"),
+    ({"edges": "30"}, "edges must be an integer"),
+    ({"nTemplates": None}, "n_templates must be an integer"),
+    ({"nTemplates": -1}, "planted_shared_nodes and n_templates must be non-negative"),
+    ({"zipfS": "1.2"}, "zipf_s must be a finite number"),
+    ({"zipfS": False}, "zipf_s must be a finite number"),
+    ({"zipfS": float("nan")}, "zipf_s must be a finite number"),
+    ({"zipfS": float("inf")}, "zipf_s must be a finite number"),
+    ({"zipfS": 1000}, "zipf_s 1000 overflows"),
+    ({"zipfS": -1000.0}, "zipf_s -1000.0 overflows"),
+    ({"templatePresence": None}, "template_presence must be a finite number"),
+    ({"templatePresence": float("nan")}, "template_presence must be a finite number"),
+    ({"plantedLabels": ["a b"]}, "planted label must be non-empty text without whitespace"),
+    ({"plantedLabels": [""]}, "planted label must be non-empty text without whitespace"),
+    ({"plantedLabels": [1, 2]}, "planted label must be non-empty text without whitespace"),
+    ({"plantedLabels": []}, "planted_labels must be a non-empty list"),
+    ({"plantedLabels": "QQ"}, "planted_labels must be a non-empty list"),
+    ({"behavior": "my behavior"}, "behavior must be non-empty text without whitespace"),
+    ({"behavior": ""}, "behavior must be non-empty text without whitespace"),
+    ({"behavior": 3}, "behavior must be non-empty text without whitespace"),
+])
+def test_gen_malformed_spec_is_data_error(tmp_path, capsys, doc, phrase):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["gen", "--preset", "small", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + phrase), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--score", "logratio", "--gtest-scale", "-5"],
+    ["--score", "logratio", "--gtest-scale", "2"],
+    ["--score", "infogain", "--epsilon", "-1"],
+    ["--score", "infogain", "--epsilon", "1e-6"],
+    ["--score", "infogain", "--gtest-scale", "2"],
+])
+def test_score_flag_of_another_score_is_usage_error(workspace, tmp_path, capsys, flags):
+    data = workspace / "data"
+    report = tmp_path / "report.json"
+    code = main(["mine", "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg"),
+                 "--max-edges", "2", *flags, "--out", str(report)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert err == [f"error: {flags[2]} does not apply to --score {flags[1]}"], err
+    assert not report.exists()
+
+
+def test_score_flags_that_apply_are_kept(workspace, tmp_path):
+    data = workspace / "data"
+    args = ["mine", "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg"), "--max-edges", "2"]
+    runs = {
+        "default": [],
+        "logratio": ["--score", "logratio", "--epsilon", "1e-6"],
+        "logratio-eps": ["--score", "logratio", "--epsilon", "1e-3"],
+        "gtest": ["--score", "gtest", "--epsilon", "1e-4", "--gtest-scale", "5"],
+    }
+    scores = {}
+    for name, flags in runs.items():
+        assert main(args + flags + ["--out", str(tmp_path / f"{name}.json")]) == 0
+        scores[name] = json.loads((tmp_path / f"{name}.json").read_text())["config"]["score"]
+    assert scores["default"] == scores["logratio"] == {"name": "logratio", "epsilon": 1e-6}
+    assert scores["logratio-eps"] == {"name": "logratio", "epsilon": 1e-3}
+    assert scores["gtest"] == {"name": "gtest", "epsilon": 1e-4, "scale": 5.0}
+
+
 def test_usage_error_exit_code():
     assert main(["mine", "--pos", "missing.tg"]) == 1  # missing required --neg/--out
 

@@ -1,12 +1,16 @@
 """Dataset format round-trips, tie policies, replication, and the generator."""
 
 import gc
+import hashlib
+import json
 import random
 import re
 
 import pytest
 
+from tpmine.cli import main
 from tpmine.datakit import (
+    _randbelow,
     ParseError,
     SpecInvalid,
     SyntheticSpec,
@@ -315,7 +319,74 @@ class TestReplicate:
             replicate([], 0)
 
 
+# SHA-256 of every file `gen` writes, per (preset, seed, spec).  The generator must reproduce
+# these bytes exactly: the benchmark selects its corpus seeds from `gen` output, so a change to
+# the random stream or to the file format shows up here first.
+GEN_FILES = ("pos.tg", "neg.tg", "test.tg", "truth.txt", "planted.tg")
+PROBE_SPEC = {"nPositive": 0, "nNegative": 0, "testEpisodes": 0}
+EMPTY = "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"  # a lone newline
+GEN_DIGESTS = {
+    ("small", 0, None): (
+        "13da9c86b46829f3a8404d207f6e318cbaa0d6dc50843ce4167beade82938741",
+        "5886e09b1217def9ea7361d8003e5b2011a24f9f3a0b38d9601397e6b04015d0",
+        "e0a5ed73a83758e7e384b3be2e9f1d4c3fe6fe381e994ac76418a34e0c9169c4",
+        "cc71e1811fffb296ca87b290f9fc31dbb21c280586ed837ac13817b363ae15e1",
+        "b617e5ce725031ac9bfe9ae36c97a34049793b3405c7c0a1180ebb462b66a963"),
+    ("small", 1, None): (
+        "0295fa5eecf6407178dc42c8c7c46f2d60869665ba049a46092e9d548bc0996a",
+        "dec29c2f2066c8eb0b2ed5874b83045dbaa8bd32f0782c9e038172141386a34c",
+        "40497307ce20a34915e54c7414b6d79ef5fcb27d60f9862415c69d5650f90fa4",
+        "3afcd9830e46b1471a1b20769db1f1c98044aa260f1382cad893ce8ee9f8865b",
+        "5dcf7e4bf8952dd6765025b25c86c3de0d3c2f7c1b677efc23ecf320614c7d37"),
+    ("small", 7, None): (
+        "5c1076b2e16541a34a5fa9043df712b205db508a0f652368d39de6ab3bcea2b6",
+        "1aba8d896ada0f71b9dbb088b4ed93aa430eac2312d7d0fc89880777592f02eb",
+        "7d0fb0feb81f06dc840fdb36d169fadb20afd6024a1ef5af407b45cfdae85e84",
+        "f75e78e21e441e93708ef8a77d763a62b42ca2b8cc5978201777533e7a982840",
+        "21ed76db7e88c4ca0cb702fb76fa8208559e76927d76ccadc8d093855c41b150"),
+    ("medium", 0, None): (
+        "566340f854b62cfdb5fca36019c119b0638f8e52613aae47810bd40a67afb736",
+        "3acac35cf9fd9fbdd4b05754f9c6b8f1aa5e33b1a0354c16e5ae36fe3e7752d5",
+        "7272c6f065889a78d61a66565e972090585a0772e8fb4e1d76fa9aff6d5b8475",
+        "feb55300754e3f37702e0210fd5f44c382feacefd356f9bee5493b7c152ff06e",
+        "b209e968d98a44e0cec7a72b421e159db438e6981b8ce6338a47ceeba5d4fd41"),
+    ("medium", 1, None): (
+        "d4c393a396c420b4707851128835ae70058a3901e9ece270cd9b424f93e8e43a",
+        "68ba9c385d781a03e7c9180abb0127df7ca302349dbcfe23570a5cff5fe03414",
+        "d4787089912b7386cf748b92d618b44e8cf15b552546b0643c99f2f0e8ceeb79",
+        "2de03749b5e745cc315b346106821536fcb89bc2cf6d6f52bbd7b3cdb752d89f",
+        "543ebcd193e7399bdae2a21ffb754b0834940ca826535931aeada37c20931cd2"),
+    ("medium", 7, None): (
+        "a4fca8f7a7000ce2c2ed4c343095a2e0ef87d6f2b41e016b94cd69afd505edb1",
+        "5d286462d397b65fe3fe81fc2c5ef6c30fd5cdac49aff67a01b8b596c5d0037c",
+        "1a2b4cd619713be169209b9d419bfe64be00e9a6022b87ca11e65a18e89b2eda",
+        "bf626e8d31aedba5e22ba777b758664f712788e221203ee9d9505eee6fd1f5d8",
+        "d7868ee74ff97933c6b9f0181f58d651ecb7de21b7ccfdf0d153db4d9b207fac"),
+    ("medium", 0, "probe"): (
+        EMPTY, EMPTY,
+        "2382ed4f9be0e16e0d195dc22706828dd3b39caddd2e858ec0347c1caf54de63",
+        EMPTY,
+        "b209e968d98a44e0cec7a72b421e159db438e6981b8ce6338a47ceeba5d4fd41"),
+    ("medium", 1000, "probe"): (
+        EMPTY, EMPTY,
+        "978dd3beef136dfe6b4027b41bca5797dd813594f2fdf091668dd707adb3df57",
+        EMPTY,
+        "4aa37351290ab14a9fe42ab22a13c48227831c4960a9083e00f48e6f91bce598"),
+}
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("preset, seed, spec", sorted(GEN_DIGESTS, key=str))
+    def test_gen_files_are_byte_identical(self, tmp_path, capsys, preset, seed, spec):
+        argv = ["gen", "--preset", preset, "--seed", str(seed), "--out", str(tmp_path / "out")]
+        if spec == "probe":
+            (tmp_path / "probe.json").write_text(json.dumps(PROBE_SPEC))
+            argv += ["--spec", str(tmp_path / "probe.json")]
+        assert main(argv) == 0
+        digests = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                        for name in GEN_FILES)
+        assert dict(zip(GEN_FILES, digests)) == dict(zip(GEN_FILES, GEN_DIGESTS[preset, seed, spec]))
+
     def test_deterministic_given_seed(self):
         spec = preset_spec("small", n_positive=3, n_negative=3, test_episodes=4)
         a = generate_synthetic(spec, seed=9)
@@ -355,6 +426,14 @@ class TestGenerator:
             # the planted pattern matches fully inside its truth interval
             shard = validate("w", g.labels, window)
             assert temporal_subgraph_test(data.planted, shard) is not None
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123, 2**40 + 3])
+    def test_randbelow_draws_as_randrange(self, seed):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            for n in range(1, 301):
+                assert _randbelow(ours, n) == stdlib.randrange(n), n
+        assert ours.getstate() == stdlib.getstate()
 
     def test_specs_validate(self):
         with pytest.raises(SpecInvalid):
