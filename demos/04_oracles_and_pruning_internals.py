@@ -65,6 +65,6 @@ s1, s2 = sig(g1), sig(g2)
 print(f"\nresidual integers: {s1.i_value} vs {s2.i_value} (equal)")
 print(f"residual sizes: {s1.sizes} vs {s2.sizes} (different)")
 print(f"direct comparison: {oracle_residual_equal(g1, g2, [G])}")
-print(f"'int' mode says equivalent:     {signatures_equivalent(s1, s2, 'int')}")
-print(f"'profile' mode says equivalent: {signatures_equivalent(s1, s2, 'profile')}")
-print("mining defaults to 'profile', so pruning decisions never trust a collision.")
+print(f"integers equal:         {s1.i_value == s2.i_value}")
+print(f"signatures_equivalent:  {signatures_equivalent(s1, s2)}")
+print("pruning compares the full profiles, so its decisions never trust a collision.")

@@ -101,7 +101,6 @@ def _cmd_mine(args) -> int:
         use_supergraph_prune=not args.no_supergraph_prune,
         embedding_cap=args.max_embeddings,
         min_freq_p=args.min_freq_p,
-        residual_check=args.residual_check,
         blacklist=blacklist,
         behavior=args.behavior,
         seed=args.seed,
@@ -275,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-bound-prune", action="store_true")
     p.add_argument("--max-embeddings", type=int, default=10_000)
     p.add_argument("--min-freq-p", type=float, default=0.0)
-    p.add_argument("--residual-check", default="profile", choices=["profile", "int"])
     p.add_argument("--blacklist", help="label blacklist file for interest ranking")
     p.add_argument("--behavior", default="behavior")
     p.add_argument("--seed", type=int, default=0, help="recorded in the report; no effect on mining")

@@ -198,8 +198,8 @@ class SyntheticSpec:
 
     The planted behavior is a T-connected pattern of ``planted_edges`` edges;
     its first ``planted_shared_nodes`` nodes reuse mid-frequency background
-    labels (so its shortest sub-patterns stay ambiguous), the rest use
-    behavior-exclusive labels.
+    labels while the alphabet lasts (so its shortest sub-patterns stay
+    ambiguous), the rest use behavior-exclusive labels.
     """
 
     n_positive: int = 100
@@ -461,7 +461,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> SyntheticDataset:
         mid = spec.n_labels // 3
         planted_node_labels = []
         for i in range(n_nodes):
-            if i < spec.planted_shared_nodes:
+            if i < spec.planted_shared_nodes and mid + i < spec.n_labels:
                 planted_node_labels.append(alphabet[mid + i])
             else:
                 planted_node_labels.append(f"P{i}")
@@ -551,7 +551,6 @@ def config_to_dict(cfg: MiningConfig) -> dict:
         },
         "embeddingCap": cfg.embedding_cap,
         "minFreqP": cfg.min_freq_p,
-        "residualCheck": cfg.residual_check,
         "behavior": cfg.behavior,
         "seed": cfg.seed,
     }

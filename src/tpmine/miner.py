@@ -63,7 +63,6 @@ class MiningConfig:
     use_supergraph_prune: bool = True
     embedding_cap: int = 10_000
     min_freq_p: float = 0.0
-    residual_check: str = "profile"
     blacklist: frozenset[str] = frozenset()
     behavior: str = "behavior"
     seed: int = 0
@@ -77,8 +76,6 @@ class MiningConfig:
             raise ConfigInvalid("embedding_cap must be at least 1")
         if not (0.0 <= self.min_freq_p <= 1.0):
             raise ConfigInvalid("min_freq_p must lie in [0, 1]")
-        if self.residual_check not in ("profile", "int"):
-            raise ConfigInvalid("residual_check must be 'profile' or 'int'")
         # Written so that NaN fails too: a bad epsilon or scale makes scores raise, or breaks the
         # F(x, 0) bound and with it the reported maximum.
         fn = self.score_fn
@@ -278,7 +275,6 @@ def mine(
                 sig_p,
                 session.registry,
                 session.fstar(),
-                mode=cfg.residual_check,
                 count_test=session.count_residual_test,
             )
             if hit is not None:
@@ -310,7 +306,6 @@ def mine(
                 lambda: session.neg_signature(pattern, neg_support),
                 session.registry,
                 session.fstar(),
-                mode=cfg.residual_check,
                 sig_n_of=session.entry_neg_signature,
                 count_test=session.count_residual_test,
             )

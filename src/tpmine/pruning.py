@@ -9,8 +9,7 @@ structure have equal I, so I works as a constant-time necessary filter.
 The integer alone is not sufficient: distinct residual structures can
 collide on the sum (the README's residual-signature section shows a minimal
 example), so signatures also carry the per-graph multiset of residual sizes,
-and the default "profile" mode requires full multiset equality before a
-branch is pruned.  "int" mode trusts the integer alone.
+and a branch is pruned only when those multisets agree in full.
 
 Two rules skip a pattern's whole search branch when a previously explored
 pattern proves it cannot reach the current score threshold:
@@ -100,20 +99,13 @@ def residual_signature(table: EmbeddingTable, graphs: Sequence[TemporalGraph]) -
     return ResidualSignature(sum(sizes), tuple(ids), tuple(sizes), tuple(ends), tuple(kept), table.exact)
 
 
-def signatures_equivalent(a: ResidualSignature, b: ResidualSignature, mode: str = "profile") -> bool:
-    """Residual equivalence test between two signatures.
+def signatures_equivalent(a: ResidualSignature, b: ResidualSignature) -> bool:
+    """Residual equivalence: equal per-graph residual-size multisets.
 
-    "int" compares the compressed integers only (constant time); "profile"
-    additionally requires the per-graph residual-size multisets to agree,
-    which is the property the pruning correctness arguments actually use.
+    The integers are compared first, a constant-time necessary condition;
+    the multisets are the property the pruning correctness arguments use.
     """
-    if a.i_value != b.i_value:
-        return False
-    if mode == "int":
-        return True
-    if mode == "profile":
-        return a.sizes == b.sizes and a.ends == b.ends and a.ids == b.ids
-    raise ValueError(f"unknown residual check mode {mode!r}")
+    return a.i_value == b.i_value and a.sizes == b.sizes and a.ends == b.ends and a.ids == b.ids
 
 
 def score_upper_bound(fn: ScoreFunction, freq_p: float) -> float:
@@ -141,7 +133,8 @@ class PatternRegistry:
     """Explored patterns bucketed by positive residual integer.
 
     Bucketing by I never changes a pruning decision (equal I is a necessary
-    condition of both rules); it only narrows the candidate list.  Once
+    condition of residual equivalence, which both rules then test on the
+    full residual multisets); it only narrows the candidate list.  Once
     ``max_entries`` is reached no further entries are recorded: pruning
     power degrades but decisions stay sound.
     """
@@ -199,7 +192,6 @@ def subgraph_prune_check(
     sig2p: ResidualSignature,
     registry: PatternRegistry,
     fstar: float,
-    mode: str = "profile",
     count_test: Optional[Callable[[], None]] = None,
 ) -> Optional[RegistryEntry]:
     """Find a fully explored pattern that makes g2's branch not worth searching.
@@ -225,7 +217,7 @@ def subgraph_prune_check(
             continue
         if count_test is not None:
             count_test()
-        if not signatures_equivalent(sig2p, entry.sig_p, mode):
+        if not signatures_equivalent(sig2p, entry.sig_p):
             continue
         node_maps = {emb.nodes for emb in find_embeddings(g2, entry.pattern)}
         if len(node_maps) != 1:
@@ -246,7 +238,6 @@ def supergraph_prune_check(
     sig2n_lazy: Callable[[], ResidualSignature],
     registry: PatternRegistry,
     fstar: float,
-    mode: str = "profile",
     sig_n_of: Optional[Callable[[RegistryEntry], Optional[ResidualSignature]]] = None,
     count_test: Optional[Callable[[], None]] = None,
 ) -> Optional[RegistryEntry]:
@@ -274,7 +265,7 @@ def supergraph_prune_check(
             continue
         if count_test is not None:
             count_test()
-        if not signatures_equivalent(sig2p, entry.sig_p, mode):
+        if not signatures_equivalent(sig2p, entry.sig_p):
             continue
         if not find_embeddings(entry.pattern, g2, limit=1):
             continue
@@ -289,7 +280,7 @@ def supergraph_prune_check(
             return None
         if count_test is not None:
             count_test()
-        if not signatures_equivalent(sig2n, entry_sig_n, mode):
+        if not signatures_equivalent(sig2n, entry_sig_n):
             continue
         return entry
     return None

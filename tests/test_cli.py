@@ -1,12 +1,14 @@
 """End-to-end command-line workflow on a small corpus."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
 from tpmine.cli import main
-from tpmine.datakit import load_dataset, report_queries, result_to_dict
+from tpmine.datakit import config_to_dict, load_dataset, report_queries, result_to_dict
 from tpmine.miner import MiningConfig, mine
+from tpmine.scoring import GTest
 
 
 @pytest.fixture(scope="module")
@@ -107,14 +109,78 @@ def test_mine_with_alternative_scores(workspace, tmp_path, score):
         "--neg", str(data / "neg.tg"),
         "--max-edges", "2",
         "--score", score,
-        "--residual-check", "int",
         "--out", str(out),
     ])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["config"]["score"]["name"] == score
-    assert report["config"]["residualCheck"] == "int"
+    assert "residualCheck" not in report["config"]
     assert report["patterns"]
+
+
+def test_report_with_residual_check_key_still_loads(workspace, tmp_path, capsys):
+    # Reports once carried config.residualCheck; verify and match never read it
+    data = workspace / "data"
+    report = tmp_path / "report.json"
+    assert main(["mine", "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg"),
+                 "--max-edges", "2", "--behavior", "planted", "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    doc["config"]["residualCheck"] = "int"
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["verify", "--report", str(report), "--pos", str(data / "pos.tg"),
+                 "--neg", str(data / "neg.tg")])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "MISMATCH" not in out
+    instances = tmp_path / "instances.json"
+    assert main(["match", "--queries", str(report), "--graph", str(data / "test.tg"),
+                 "--out", str(instances)]) == 0
+    found = json.loads(instances.read_text())["instances"]
+    assert found and {item["behavior"] for item in found} == {"planted"}
+
+
+def test_residual_check_flag_is_usage_error(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    report = tmp_path / "report.json"
+    code = main(["mine", "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg"),
+                 "--residual-check", "profile", "--out", str(report)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("usage:") and "unrecognized arguments: --residual-check" in err, err
+    assert not report.exists()
+
+
+# Where config_to_dict writes each MiningConfig field, and a value other than the default
+_CONFIG_KEYS = {
+    "max_edges": (("maxEdges",), 3),
+    "top_k": (("topK",), 9),
+    "score_fn": (("score",), GTest()),
+    "use_bound_prune": (("pruning", "bound"), False),
+    "use_subgraph_prune": (("pruning", "subgraph"), False),
+    "use_supergraph_prune": (("pruning", "supergraph"), False),
+    "embedding_cap": (("embeddingCap",), 7),
+    "min_freq_p": (("minFreqP",), 0.5),
+    "behavior": (("behavior",), "other"),
+    "seed": (("seed",), 11),
+}
+
+
+def test_report_config_has_one_key_per_setting():
+    # The blacklist is a label file, not a setting the report records
+    assert {f.name for f in fields(MiningConfig)} - {"blacklist"} == set(_CONFIG_KEYS)
+    base = config_to_dict(MiningConfig())
+    written = {(key,) for key in base if key != "pruning"} | {("pruning", key) for key in base["pruning"]}
+    assert written == {path for path, _ in _CONFIG_KEYS.values()}
+
+    def read(doc, path):
+        for key in path:
+            doc = doc[key]
+        return doc
+
+    for name, (path, value) in _CONFIG_KEYS.items():
+        changed = config_to_dict(replace(MiningConfig(), **{name: value}))
+        assert read(changed, path) != read(base, path), name
 
 
 def test_verify_keeps_score_parameters(tmp_path, capsys):
@@ -274,6 +340,23 @@ def test_gen_spec_fields(tmp_path):
     labels = {line.split()[2] for line in (tmp_path / "ok" / "planted.tg").read_text().splitlines()
               if line.startswith("v ")}
     assert labels == {"Q0", "Q1"}
+
+
+def test_gen_shares_planted_labels_only_within_alphabet(tmp_path):
+    # More shared planted nodes than the alphabet holds past its middle third:
+    # the overflow nodes get behavior-exclusive P{i} labels
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"nLabels": 4, "plantedSharedNodes": 7, "nPositive": 1,
+                                "nNegative": 1, "testEpisodes": 0}))
+    for seed in range(4):
+        out = tmp_path / f"out{seed}"
+        assert main(["gen", "--preset", "small", "--spec", str(spec), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        nodes = [line.split()[1:] for line in (out / "planted.tg").read_text().splitlines()
+                 if line.startswith("v ")]
+        assert len(nodes) > 3
+        for v, label in nodes:
+            assert label == (f"L{1 + int(v):03d}" if 1 + int(v) < 4 else f"P{v}"), (seed, v, label)
 
 
 def test_negative_gen_seed_is_usage_error(tmp_path, capsys):

@@ -69,8 +69,6 @@ class TestMineBasics:
         with pytest.raises(ConfigInvalid):
             mine([g], [g], MiningConfig(top_k=0))
         with pytest.raises(ConfigInvalid):
-            mine([g], [g], MiningConfig(residual_check="other"))
-        with pytest.raises(ConfigInvalid):
             mine([g], [g], MiningConfig(min_freq_p=1.5))
 
     @pytest.mark.parametrize("fn", [

@@ -165,16 +165,15 @@ class TestResidualSignature:
 class TestSignatureEquivalence:
     def test_integer_collision_with_distinct_residuals(self):
         # The compressed integers can agree while the actual residual
-        # multisets differ; this is exactly why the default pruning mode
-        # compares the per-graph profiles and not just the integers.
+        # multisets differ; this is exactly why pruning compares the
+        # per-graph profiles and not just the integers.
         G = validate("G", ["A", "B", "C", "A", "B"], [(0, 1, 1), (1, 2, 2), (1, 2, 3), (3, 4, 4)])
         g1 = canonical_pattern(["A", "B"], [(0, 1, 1)])
         g2 = canonical_pattern(["A", "B", "C"], [(0, 1, 1), (1, 2, 2)])
         s1, s2 = sig_of(g1, [G]), sig_of(g2, [G])
         assert s1.i_value == s2.i_value == 3
         assert profile(s1) != profile(s2)
-        assert signatures_equivalent(s1, s2, "int")
-        assert not signatures_equivalent(s1, s2, "profile")
+        assert not signatures_equivalent(s1, s2)
         assert not oracle_residual_equal(g1, g2, [G])
 
     def test_profile_equivalence_matches_oracle(self):
@@ -194,7 +193,7 @@ class TestSignatureEquivalence:
                 {i: g2.labels[i] for i in range(g2.n_nodes)},
                 list(zip(g2.srcs, g2.dsts, g2.timestamps))[:j],
             )
-            fast = signatures_equivalent(sig_of(g1, graphs), sig_of(g2, graphs), "profile")
+            fast = signatures_equivalent(sig_of(g1, graphs), sig_of(g2, graphs))
             slow = oracle_residual_equal(g1, g2, graphs)
             assert fast == slow
             agree_equal += fast
@@ -349,10 +348,10 @@ class TestSupergraphPruneCheck:
         )
         assert hit is entry
 
-    def test_integer_mode_fires_on_sum_collision(self):
+    def test_refuses_integer_sum_collision(self):
         # Multi-edge construction where the residual integers collide across
-        # graphs while the actual residual multisets differ: the
-        # paper-faithful "int" mode fires, the sound default does not.
+        # graphs while the actual residual multisets differ: every other
+        # condition of the rule holds, so only the profile test refuses.
         G1 = validate("G1", ["A", "B"], [(0, 1, 1), (0, 1, 2), (0, 1, 3)])
         G2 = validate(
             "G2",
@@ -376,8 +375,9 @@ class TestSupergraphPruneCheck:
             fstar=10.0,
             sig_n_of=lambda e: sig_of(e.pattern, neg),
         )
-        assert supergraph_prune_check(g2, s2, mode="int", **common) is entry
-        assert supergraph_prune_check(g2, s2, mode="profile", **common) is None
+        assert supergraph_prune_check(g2, s2, **common) is None
+        entry.sig_p = s2  # equal profiles: the same entry now certifies
+        assert supergraph_prune_check(g2, s2, **common) is entry
 
     def test_candidate_must_occur_in_current_pattern(self):
         # B->A then A->B against A->B twice: same nodes and labels, and in
@@ -416,13 +416,11 @@ class TestSupergraphPruneCheck:
         assert {sp.pattern.key() for sp in with_rule.maximizers} == {p.key() for p in argmax.values()}
 
 
-class TestResidualCheckModes:
-    def test_integer_mode_can_lose_a_maximizer(self):
-        # Pinned instance where the integer test collides spuriously, the
-        # resulting prune discards one of three maximum-score patterns, and
-        # the profile check keeps the result exact.  This is the operational
-        # cost of trusting the compressed integer and the reason "profile"
-        # is the default.
+class TestIntegerCollision:
+    def test_mining_keeps_every_maximizer(self):
+        # Pinned instance where the residual integers collide spuriously: a
+        # prune trusting the integer alone discards one of three
+        # maximum-score patterns, and the profile test keeps the result exact.
         pos = [
             validate("p0", ["A", "B", "A"], [(1, 2, 1), (2, 0, 2), (2, 1, 3), (2, 1, 4), (0, 1, 5)]),
             validate("p1", ["A", "A"], [(1, 0, 1), (1, 0, 2), (1, 0, 3), (0, 1, 4), (0, 1, 5), (1, 0, 6)]),
@@ -434,27 +432,9 @@ class TestResidualCheckModes:
             validate("n1", ["A", "A", "A"], [(1, 2, 1), (1, 2, 2), (0, 1, 3), (1, 0, 4), (1, 2, 5)]),
         ]
         best, argmax = oracle_best_score(pos, neg, 3, LogRatio())
-        res_int = mine(pos, neg, MiningConfig(max_edges=3, top_k=1, residual_check="int"))
-        res_pro = mine(pos, neg, MiningConfig(max_edges=3, top_k=1, residual_check="profile"))
-        assert res_pro.max_score == pytest.approx(best, abs=1e-12)
-        assert {sp.pattern.key() for sp in res_pro.maximizers} == {p.key() for p in argmax.values()}
-        assert len(res_int.maximizers) < len(argmax)
-
-    def test_integer_mode_matches_profile_mode_on_desk_instances(self):
-        # The integer check can in principle prune on a spurious collision
-        # (see the counterexample above), but an actual result change also
-        # needs the full registry conditions plus a better pattern inside
-        # the pruned branch; across these instances the two modes agree.
-        from conftest import desk_instance
-
-        for seed in range(20):
-            pos, neg = desk_instance(seed)
-            res_int = mine(pos, neg, MiningConfig(max_edges=4, top_k=1, residual_check="int"))
-            res_pro = mine(pos, neg, MiningConfig(max_edges=4, top_k=1, residual_check="profile"))
-            assert res_int.max_score == pytest.approx(res_pro.max_score, abs=1e-12)
-            assert {sp.pattern.key() for sp in res_int.maximizers} == {
-                sp.pattern.key() for sp in res_pro.maximizers
-            }
+        res = mine(pos, neg, MiningConfig(max_edges=3, top_k=1))
+        assert res.max_score == pytest.approx(best, abs=1e-12)
+        assert {sp.pattern.key() for sp in res.maximizers} == {p.key() for p in argmax.values()}
 
 
 class TestRegistry:
