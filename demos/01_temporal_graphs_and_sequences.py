@@ -7,7 +7,6 @@ from tpmine import (
     canonical_pattern,
     encode,
     is_t_connected,
-    patterns_equal,
     temporal_subgraph_test,
     validate,
 )
@@ -42,10 +41,10 @@ pattern = canonical_pattern(
 )
 print("canonical pattern:", pattern.text())
 
-# Pattern equality is a linear scan matching edges timestamp by timestamp;
-# it returns the unique node correspondence when the two match.
+# Canonical form numbers nodes in first-visit order, so two patterns are
+# equal exactly when their keys (labels plus edge endpoints) are equal.
 other = canonical_pattern(["Proc", "File", "Proc"], [(0, 1, 1), (1, 2, 2)])
-print("equal?", patterns_equal(pattern, other) is not None)
+print("equal?", pattern.key() == other.key())
 
 # Every temporal graph is faithfully described by three sequences: nodes in
 # first-visit order, edges in time order, and the enhanced node sequence

@@ -18,8 +18,6 @@ from .graphs import (
     TemporalPattern,
     canonical_pattern,
     is_t_connected,
-    pattern_of,
-    patterns_equal,
     validate,
     verify_embedding,
 )
@@ -55,7 +53,6 @@ from .scoring import (
     load_blacklist,
     make_score_function,
     rank,
-    score,
 )
 from .miner import ConfigInvalid, EmptyDataset, MiningConfig, MiningResult, MiningStats, mine
 from .matcher import GroundTruth, Instance, evaluate, find_instances, load_ground_truth

@@ -50,11 +50,7 @@ class SpecInvalid(ValueError):
 ROLES = ("positive", "negative", "test")
 
 
-def parse_dataset(
-    text: str,
-    tie_policy: str = "reject",
-    allow_self_loops: bool = False,
-) -> list[tuple[str, TemporalGraph]]:
+def parse_dataset(text: str, tie_policy: str = "reject") -> list[tuple[str, TemporalGraph]]:
     """Parse a dataset document into (role, graph) pairs, in file order; each graph's edge
     columns are ordered and checked once, at its end, by ``graphs.validate_columns``."""
     graphs: list[tuple[str, TemporalGraph]] = []
@@ -82,7 +78,7 @@ def parse_dataset(
             return
         check_endpoints()
         try:
-            graphs.append((role, validate_columns(gid, labels, srcs, dsts, ts, allow_self_loops, tie_policy)))
+            graphs.append((role, validate_columns(gid, labels, srcs, dsts, ts, tie_policy=tie_policy)))
         except TieRejected as exc:
             raise TieRejected(f"line {line}: graph {gid!r} (started line {start_line}): {exc}") from None
         except ValueError as exc:
@@ -142,12 +138,10 @@ def parse_dataset(
 
 
 def load_dataset(
-    path: str | Path,
-    tie_policy: str = "reject",
-    allow_self_loops: bool = False,
+    path: str | Path, tie_policy: str = "reject"
 ) -> tuple[list[TemporalGraph], list[TemporalGraph], list[TemporalGraph]]:
     """Load and split a dataset file into (positives, negatives, test graphs)."""
-    graphs = parse_dataset(Path(path).read_text(), tie_policy, allow_self_loops)
+    graphs = parse_dataset(Path(path).read_text(), tie_policy)
     positives = [g for role, g in graphs if role == "positive"]
     negatives = [g for role, g in graphs if role == "negative"]
     tests = [g for role, g in graphs if role == "test"]
@@ -596,7 +590,7 @@ def pattern_from_dict(d: dict, graph_id: str = "query") -> TemporalPattern:
     return canonical_pattern(labels, triples, graph_id, strict=False)
 
 
-def result_to_dict(result: MiningResult, include_timing: bool = True) -> dict:
+def result_to_dict(result: MiningResult) -> dict:
     stats = {
         "patternsVisited": result.stats.patterns_visited,
         "boundPruneFires": result.stats.bound_prune_fires,
@@ -604,9 +598,8 @@ def result_to_dict(result: MiningResult, include_timing: bool = True) -> dict:
         "supergraphPruneFires": result.stats.supergraph_prune_fires,
         "subisoTests": result.stats.subiso_tests,
         "residualTests": result.stats.residual_tests,
+        "wallTime": result.stats.wall_time,
     }
-    if include_timing:
-        stats["wallTime"] = result.stats.wall_time
     return {
         "config": config_to_dict(result.config),
         "patterns": [scored_pattern_to_dict(sp) for sp in result.ranked],

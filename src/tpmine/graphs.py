@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import eq, lt
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 MAX_TIMESTAMP = 2**63 - 1
 
@@ -168,39 +168,12 @@ class TemporalGraph:
             return codes, 0, 0, 0
         return _code_range(codes, ids[src_label] * len(ids) + ids[dst_label], len(self.srcs), after)
 
-    def degree_profile(self) -> tuple:
-        """Per-node (in degree, out degree, in-neighbor label counts, out-neighbor label counts)."""
-        prof = self._cache.get("degree_profile")
-        if prof is None:
-            n = self.n_nodes
-            indeg = [0] * n
-            outdeg = [0] * n
-            innbr: list[dict[str, int]] = [dict() for _ in range(n)]
-            outnbr: list[dict[str, int]] = [dict() for _ in range(n)]
-            for src, dst in zip(self.srcs, self.dsts):
-                outdeg[src] += 1
-                indeg[dst] += 1
-                dl = self.labels[dst]
-                sl = self.labels[src]
-                outnbr[src][dl] = outnbr[src].get(dl, 0) + 1
-                innbr[dst][sl] = innbr[dst].get(sl, 0) + 1
-            prof = (tuple(indeg), tuple(outdeg), tuple(innbr), tuple(outnbr))
-            self._cache["degree_profile"] = prof
-        return prof
-
     def label_multiset(self) -> tuple[str, ...]:
         key = self._cache.get("label_multiset")
         if key is None:
             key = tuple(sorted(self.labels))
             self._cache["label_multiset"] = key
         return key
-
-    def label_set(self) -> frozenset[str]:
-        s = self._cache.get("label_set")
-        if s is None:
-            s = frozenset(self.labels)
-            self._cache["label_set"] = s
-        return s
 
     def __repr__(self):
         return f"TemporalGraph({self.id!r}, {self.n_nodes} nodes, {self.n_edges} edges)"
@@ -346,42 +319,6 @@ def is_t_connected(g: TemporalGraph) -> bool:
     return True
 
 
-def patterns_equal(p1: TemporalPattern, p2: TemporalPattern) -> Optional[Embedding]:
-    """If the two patterns match, return the unique bijective node/time mapping.
-
-    Linear scan: edges are matched by equal timestamp (pattern timestamps
-    are 1..|E|, so edge k of one pattern can only match edge k of the
-    other), building the node map incrementally and rejecting any
-    non-one-to-one assignment.
-    """
-    if p1.n_edges != p2.n_edges or p1.n_nodes != p2.n_nodes:
-        return None
-    fwd: dict[int, int] = {}
-    rev: dict[int, int] = {}
-
-    def bind(u: int, v: int) -> bool:
-        got = fwd.get(u)
-        if got is not None:
-            return got == v
-        if v in rev:
-            return False
-        if p1.labels[u] != p2.labels[v]:
-            return False
-        fwd[u] = v
-        rev[v] = u
-        return True
-
-    if p1.timestamps != p2.timestamps:
-        return None
-    for s1, d1, s2, d2 in zip(p1.srcs, p1.dsts, p2.srcs, p2.dsts):
-        if not bind(s1, s2) or not bind(d1, d2):
-            return None
-    if len(fwd) != p1.n_nodes:
-        # Isolated nodes never occur in valid patterns, but guard anyway.
-        return None
-    return Embedding(tuple(fwd[i] for i in range(p1.n_nodes)), p2.timestamps)
-
-
 def canonical_pattern(
     labels: Mapping[int, str] | Sequence[str],
     edges: Iterable[tuple[int, int, int]],
@@ -420,11 +357,6 @@ def canonical_pattern(
     if strict and not is_t_connected(pattern):
         raise NotTConnected(f"edge list does not form a T-connected pattern: {pattern.text()}")
     return pattern
-
-
-def pattern_of(g: TemporalGraph, strict: bool = True) -> TemporalPattern:
-    """Canonical pattern carrying the same structure as g."""
-    return canonical_pattern(g.labels, zip(g.srcs, g.dsts, g.timestamps), graph_id=g.id, strict=strict)
 
 
 def verify_embedding(p: TemporalPattern, g: TemporalGraph, emb: Embedding) -> bool:

@@ -147,9 +147,6 @@ class _Session:
         elif s > self._heap[0]:
             heapq.heapreplace(self._heap, s)
 
-    def count_residual_test(self) -> None:
-        self.stats.residual_tests += 1
-
     def first_match(self, p: TemporalPattern, g: TemporalGraph,
                     parent_match: Optional[Embedding] = None) -> Optional[Embedding]:
         """Chronologically first match of p in g, or None; counts one subgraph test.
@@ -183,12 +180,12 @@ class _Session:
         return len(table.entries)
 
     def children(self, pattern: TemporalPattern, table: EmbeddingTable) -> Iterator[tuple]:
-        """(child, child table, freq_p) per one-edge growth that meets the support floor."""
+        """(child, child table, freq_p) per one-edge growth that meets the support floor; ``expand``
+        reads children off matches, so each has support in some positive graph."""
         for child, child_table in expand(pattern, table, self.positives, self.cfg.embedding_cap).items():
             freq_p = self.exact_support(child, child_table) / len(self.positives)
-            if freq_p == 0.0 or freq_p < self.cfg.min_freq_p:
-                continue
-            yield child, child_table, freq_p
+            if freq_p >= self.cfg.min_freq_p:
+                yield child, child_table, freq_p
 
     def neg_signature(self, pattern: TemporalPattern, neg_support: Collection[str]) -> ResidualSignature:
         """Full negative-side signature, enumerated on demand."""
@@ -203,7 +200,7 @@ class _Session:
         table = EmbeddingTable(entries, frozenset(truncated))
         return residual_signature(table, [self.neg_by_id[gid] for gid in neg_support])
 
-    def entry_neg_signature(self, entry: RegistryEntry) -> Optional[ResidualSignature]:
+    def entry_neg_signature(self, entry: RegistryEntry) -> ResidualSignature:
         if entry.sig_n is not None:
             return entry.sig_n
         if entry.neg_support is None:
@@ -270,13 +267,7 @@ def mine(
             return bound, pattern.n_edges
 
         if cfg.use_subgraph_prune:
-            hit = subgraph_prune_check(
-                pattern,
-                sig_p,
-                session.registry,
-                session.fstar(),
-                count_test=session.count_residual_test,
-            )
+            hit = subgraph_prune_check(pattern, sig_p, session.registry, session.fstar())
             if hit is not None:
                 session.stats.subgraph_prune_fires += 1
                 if on_visit:
@@ -306,8 +297,7 @@ def mine(
                 lambda: session.neg_signature(pattern, neg_support),
                 session.registry,
                 session.fstar(),
-                sig_n_of=session.entry_neg_signature,
-                count_test=session.count_residual_test,
+                session.entry_neg_signature,
             )
             if hit is not None:
                 session.stats.supergraph_prune_fires += 1
@@ -349,6 +339,7 @@ def mine(
     max_score = max((s for _, s, _, _ in session.scored), default=float("-inf"))
     maximizer_entries = [e for e in session.scored if abs(e[1] - max_score) <= 1e-12]
     maximizers = rank(maximizer_entries, model, len(maximizer_entries))
+    session.stats.residual_tests = session.registry.residual_tests
     session.stats.wall_time = time.monotonic() - started
     return MiningResult(
         ranked=ranked,

@@ -136,16 +136,16 @@ class PatternRegistry:
     condition of residual equivalence, which both rules then test on the
     full residual multisets); it only narrows the candidate list.  Once
     ``max_entries`` is reached no further entries are recorded: pruning
-    power degrades but decisions stay sound.
+    power degrades but decisions stay sound.  ``residual_tests`` counts the
+    residual equivalence tests the prune checks run against its entries.
     """
 
-    def __init__(self, max_entries: int = 2**20):
-        self.max_entries = max_entries
+    max_entries = 2**20
+
+    def __init__(self):
         self.entries: list[RegistryEntry] = []
         self._by_ip: dict[int, list[RegistryEntry]] = {}
-
-    def __len__(self) -> int:
-        return len(self.entries)
+        self.residual_tests = 0
 
     def add(self, pattern: TemporalPattern, sig_p: ResidualSignature) -> Optional[RegistryEntry]:
         if len(self.entries) >= self.max_entries:
@@ -192,7 +192,6 @@ def subgraph_prune_check(
     sig2p: ResidualSignature,
     registry: PatternRegistry,
     fstar: float,
-    count_test: Optional[Callable[[], None]] = None,
 ) -> Optional[RegistryEntry]:
     """Find a fully explored pattern that makes g2's branch not worth searching.
 
@@ -215,8 +214,7 @@ def subgraph_prune_check(
             continue
         if not _label_multiset_contains(entry.label_multiset, g2.label_multiset()):
             continue
-        if count_test is not None:
-            count_test()
+        registry.residual_tests += 1
         if not signatures_equivalent(sig2p, entry.sig_p):
             continue
         node_maps = {emb.nodes for emb in find_embeddings(g2, entry.pattern)}
@@ -238,8 +236,7 @@ def supergraph_prune_check(
     sig2n_lazy: Callable[[], ResidualSignature],
     registry: PatternRegistry,
     fstar: float,
-    sig_n_of: Optional[Callable[[RegistryEntry], Optional[ResidualSignature]]] = None,
-    count_test: Optional[Callable[[], None]] = None,
+    sig_n_of: Callable[[RegistryEntry], ResidualSignature],
 ) -> Optional[RegistryEntry]:
     """Mirror rule: g2 extends an explored pattern without changing residuals.
 
@@ -247,8 +244,8 @@ def supergraph_prune_check(
     g1 is a temporal subgraph of g2 (``find_embeddings`` finds a first
     match), node counts match, and both positive and negative residuals are
     equivalent.  Negative signatures are fetched lazily (first for the
-    candidate, then for g2) because negative-side enumeration is the
-    expensive part.  Entries that are ancestors of g2 are
+    candidate, through ``sig_n_of``, then for g2) because negative-side
+    enumeration is the expensive part.  Entries that are ancestors of g2 are
     never finalized while g2 is open, so a pattern can never be pruned
     against its own growth path.
     """
@@ -263,23 +260,19 @@ def supergraph_prune_check(
             continue
         if entry.label_multiset != g2_labels:
             continue
-        if count_test is not None:
-            count_test()
+        registry.residual_tests += 1
         if not signatures_equivalent(sig2p, entry.sig_p):
             continue
         if not find_embeddings(entry.pattern, g2, limit=1):
             continue
-        entry_sig_n = entry.sig_n
-        if entry_sig_n is None and sig_n_of is not None:
-            entry_sig_n = sig_n_of(entry)
-        if entry_sig_n is None or not entry_sig_n.exact:
+        entry_sig_n = sig_n_of(entry)
+        if not entry_sig_n.exact:
             continue
         if sig2n is None:
             sig2n = sig2n_lazy()
         if not sig2n.exact:
             return None
-        if count_test is not None:
-            count_test()
+        registry.residual_tests += 1
         if not signatures_equivalent(sig2n, entry_sig_n):
             continue
         return entry

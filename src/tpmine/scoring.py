@@ -101,21 +101,13 @@ ScoreFunction = Union[LogRatio, GTest, InfoGain]
 _VARIANTS = {"logratio": LogRatio, "gtest": GTest, "infogain": InfoGain}
 
 
-def make_score_function(name: str, epsilon: float = 1e-6) -> ScoreFunction:
+def make_score_function(name: str) -> ScoreFunction:
+    """The named score function with its default parameters."""
     try:
         cls = _VARIANTS[name]
     except KeyError:
         raise ValueError(f"unknown score function {name!r}; expected one of {sorted(_VARIANTS)}")
-    if cls is InfoGain:
-        return InfoGain()
-    return cls(epsilon=epsilon)
-
-
-def score(fn: ScoreFunction, freq_p: float, freq_n: float) -> float:
-    """Discriminative score of a pattern with the given frequencies."""
-    if not (0.0 <= freq_p <= 1.0 and 0.0 <= freq_n <= 1.0):
-        raise ValueError(f"frequencies must lie in [0, 1], got ({freq_p}, {freq_n})")
-    return fn.score(freq_p, freq_n)
+    return cls()
 
 
 @dataclass(frozen=True)

@@ -80,26 +80,17 @@ def encode(g: TemporalGraph) -> tuple[NodeSeq, EdgeSeq, EnhSeq]:
     return result
 
 
-def is_subsequence(s1: Sequence, s2: Sequence, eq: Optional[Callable] = None) -> bool:
+def is_subsequence(s1: Sequence, s2: Sequence) -> bool:
     """Greedy left-to-right subsequence test; O(len(s2)) comparisons."""
-    i = 0
-    n = len(s1)
-    if n == 0:
+    if not s1:
         return True
-    if eq is None:
-        want = s1[0]
-        for item in s2:
-            if want == item:
-                i += 1
-                if i == n:
-                    return True
-                want = s1[i]
-        return False
+    i, n, want = 0, len(s1), s1[0]
     for item in s2:
-        if eq(s1[i], item):
+        if want == item:
             i += 1
             if i == n:
                 return True
+            want = s1[i]
     return False
 
 
@@ -114,6 +105,35 @@ class SubgraphTestOptions:
 
 DEFAULT_OPTIONS = SubgraphTestOptions()
 _MEMO_CAP = 1_048_576  # exhausted prefixes kept per search; bounds memory, never a verdict
+
+
+def _degree_profile(g: TemporalGraph) -> tuple:
+    """Per-node (in degree, out degree, in-neighbor label counts, out-neighbor label counts), cached."""
+    prof = g._cache.get("degree_profile")
+    if prof is None:
+        n = g.n_nodes
+        indeg = [0] * n
+        outdeg = [0] * n
+        innbr: list[dict[str, int]] = [dict() for _ in range(n)]
+        outnbr: list[dict[str, int]] = [dict() for _ in range(n)]
+        for src, dst in zip(g.srcs, g.dsts):
+            outdeg[src] += 1
+            indeg[dst] += 1
+            dl = g.labels[dst]
+            sl = g.labels[src]
+            outnbr[src][dl] = outnbr[src].get(dl, 0) + 1
+            innbr[dst][sl] = innbr[dst].get(sl, 0) + 1
+        prof = (tuple(indeg), tuple(outdeg), tuple(innbr), tuple(outnbr))
+        g._cache["degree_profile"] = prof
+    return prof
+
+
+def _label_set(g: TemporalGraph) -> frozenset[str]:
+    s = g._cache.get("label_set")
+    if s is None:
+        s = frozenset(g.labels)
+        g._cache["label_set"] = s
+    return s
 
 
 def _local_compatible(p_prof, g_prof, pnode: int, dnode: int) -> bool:
@@ -172,7 +192,7 @@ def _label_views(g: TemporalGraph) -> tuple[list[str], list[str], list[tuple[str
 
 def _label_precheck(p: TemporalPattern, g: TemporalGraph) -> bool:
     """Pure label-level tests; a failed check rules out any match."""
-    if not p.label_set() <= g.label_set():
+    if not _label_set(p) <= _label_set(g):
         return False
     p_nsq_labels, _, p_pairs = _label_views(p)
     _, g_enh_labels, g_pairs = _label_views(g)
@@ -207,8 +227,8 @@ def _search_mappings(
     n = len(nsq)
     if n > len(enh):
         return
-    p_prof = p.degree_profile() if opts.local_info else None
-    g_prof = g.degree_profile() if opts.local_info else None
+    p_prof = _degree_profile(p) if opts.local_info else None
+    g_prof = _degree_profile(g) if opts.local_info else None
 
     exhausted: set[tuple[int, ...]] = set()
     seen_complete: set[tuple[int, ...]] = set()

@@ -7,8 +7,8 @@ One criterion - the residual-signature integer equivalence - is known not to
 hold: the compressed integer can collide while the underlying residual
 multisets differ (test_pruning.py carries a minimal example), so its test is
 implemented exactly as stated and is expected to fail.  Mining is unaffected:
-the default configuration compares full residual profiles, which is what the
-exactness and pruning-invariance criteria below verify.
+pruning always compares full residual profiles, which is what the exactness
+and pruning-invariance criteria below verify.
 """
 
 import itertools
@@ -183,8 +183,8 @@ def test_residual_signature_integer_equivalence():
 
     Stated tolerance: zero mismatches.  This is known to be unattainable:
     the residual-size sum is not injective over residual multisets, and
-    spurious collisions occur at a low but non-zero rate (the default mining
-    configuration therefore compares full profiles instead of the integer).
+    spurious collisions occur at a low but non-zero rate (pruning therefore
+    always compares full profiles, not just the integer).
     The check is implemented exactly as stated and reports honestly.
     """
     rng = random.Random(99)

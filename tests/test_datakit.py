@@ -25,12 +25,12 @@ from tpmine.datakit import (
     save_dataset,
     score_fn_from_dict,
 )
-from tpmine.graphs import MAX_TIMESTAMP, GraphError, ordered_columns, pattern_of, validate
+from tpmine.graphs import MAX_TIMESTAMP, GraphError, canonical_pattern, ordered_columns, validate
 from tpmine.matcher import find_instances
 from tpmine.miner import MiningConfig, mine
 from tpmine.oracle import oracle_subgraph_test
 from tpmine.scoring import GTest, InfoGain, LogRatio
-from tpmine.sequences import temporal_subgraph_test
+from tpmine.sequences import find_embeddings
 
 from conftest import random_graph
 
@@ -90,7 +90,7 @@ class TestFormat:
         assert [g.id for g in tests] == ["t"]
 
 
-def _reference_parse(text, tie_policy, allow_self_loops):
+def _reference_parse(text, tie_policy):
     """Line-by-line reference parser: (role, id, labels, [(src, dst, t)]) per graph.
 
     Errors come out as (error type, line number): a line error names its
@@ -122,7 +122,7 @@ def _reference_parse(text, tie_policy, allow_self_loops):
                 bumped.append((src, dst, prev))
             ordered = bumped
         for src, dst, t in ordered:
-            if (src == dst and not allow_self_loops) or not 0 <= t <= MAX_TIMESTAMP:
+            if src == dst or not 0 <= t <= MAX_TIMESTAMP:
                 fail(ParseError, line)
         out.append((state["role"], state["gid"], state["labels"], ordered))
 
@@ -195,17 +195,16 @@ def test_ingest_matches_reference_parser():
     for _ in range(1500):
         text = _random_document(rng)
         for tie_policy in ("reject", "inputOrder"):
-            for allow_self_loops in (False, True):
-                want = _reference_parse(text, tie_policy, allow_self_loops)
-                try:
-                    parsed = parse_dataset(text, tie_policy, allow_self_loops)
-                except (ParseError, TieRejected) as exc:
-                    got = (type(exc), int(re.match(r"line (\d+): ", str(exc))[1]))
-                else:
-                    got = [(role, g.id, list(g.labels), list(zip(g.srcs, g.dsts, g.timestamps)))
-                           for role, g in parsed]
-                assert got == want, text
-                outcomes.add(want[0].__name__ if isinstance(want, tuple) else "ok")
+            want = _reference_parse(text, tie_policy)
+            try:
+                parsed = parse_dataset(text, tie_policy)
+            except (ParseError, TieRejected) as exc:
+                got = (type(exc), int(re.match(r"line (\d+): ", str(exc))[1]))
+            else:
+                got = [(role, g.id, list(g.labels), list(zip(g.srcs, g.dsts, g.timestamps)))
+                       for role, g in parsed]
+            assert got == want, text
+            outcomes.add(want[0].__name__ if isinstance(want, tuple) else "ok")
     assert outcomes == {"ok", "ParseError", "TieRejected"}
 
 
@@ -295,12 +294,10 @@ class TestReplicate:
         doubled = replicate(graphs, 2)
         assert len(doubled) == 8
         assert len({g.id for g in doubled}) == 8
-        p = pattern_of(
-            validate("probe", [graphs[0].labels[graphs[0].srcs[0]],
-                               graphs[0].labels[graphs[0].dsts[0]]], [(0, 1, 1)])
-        )
-        base_hits = sum(1 for g in graphs if temporal_subgraph_test(p, g))
-        doubled_hits = sum(1 for g in doubled if temporal_subgraph_test(p, g))
+        p = canonical_pattern([graphs[0].labels[graphs[0].srcs[0]], graphs[0].labels[graphs[0].dsts[0]]],
+                              [(0, 1, 1)])
+        base_hits = sum(1 for g in graphs if find_embeddings(p, g, limit=1))
+        doubled_hits = sum(1 for g in doubled if find_embeddings(p, g, limit=1))
         assert base_hits / len(graphs) == doubled_hits / len(doubled)
 
     def test_replication_does_not_change_mining_result(self):
@@ -405,7 +402,7 @@ class TestGenerator:
         spec = preset_spec("small", n_positive=6, n_negative=2, test_episodes=0)
         data = generate_synthetic(spec, seed=11)
         for g in data.positives:
-            assert temporal_subgraph_test(data.planted, g) is not None
+            assert find_embeddings(data.planted, g, limit=1)
 
     def test_positive_intervals_span_planted_edges(self):
         spec = preset_spec("small", n_positive=4, n_negative=1, test_episodes=0)
@@ -425,7 +422,7 @@ class TestGenerator:
             window = [e for e in zip(g.srcs, g.dsts, g.timestamps) if start <= e[2] <= end]
             # the planted pattern matches fully inside its truth interval
             shard = validate("w", g.labels, window)
-            assert temporal_subgraph_test(data.planted, shard) is not None
+            assert find_embeddings(data.planted, shard, limit=1)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 123, 2**40 + 3])
     def test_randbelow_draws_as_randrange(self, seed):
@@ -448,7 +445,7 @@ class TestGenerator:
         data = generate_synthetic(spec, seed=4)
         assert len(data.positives) == 2
         assert data.positives[0].n_edges > 700
-        assert temporal_subgraph_test(data.planted, data.positives[0]) is not None
+        assert find_embeddings(data.planted, data.positives[0], limit=1)
 
     def test_zero_positive_graphs_yield_empty_dataset_downstream(self):
         from tpmine.miner import EmptyDataset

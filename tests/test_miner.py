@@ -14,7 +14,7 @@ from tpmine.matcher import find_instances
 from tpmine.miner import ConfigInvalid, EmptyDataset, MiningConfig, _Session, mine
 from tpmine.oracle import oracle_best_score, oracle_frequency
 from tpmine.scoring import GTest, LogRatio
-from tpmine.sequences import find_embeddings, first_extension, temporal_subgraph_test
+from tpmine.sequences import find_embeddings, first_extension
 
 from conftest import desk_instance, embedded_pattern, random_graph, random_pattern
 
@@ -294,9 +294,9 @@ class TestDeterminism:
         cfg = MiningConfig(max_edges=3, top_k=5)
         a = mine(positives, negatives, cfg)
         b = mine(positives, negatives, cfg)
-        ja = json.dumps(result_to_dict(a, include_timing=False), sort_keys=True)
-        jb = json.dumps(result_to_dict(b, include_timing=False), sort_keys=True)
-        assert ja == jb
+        ja, jb = result_to_dict(a), result_to_dict(b)
+        del ja["stats"]["wallTime"], jb["stats"]["wallTime"]
+        assert json.dumps(ja, sort_keys=True) == json.dumps(jb, sort_keys=True)
 
 
 class TestPruningReducesWork:
@@ -316,6 +316,25 @@ class TestPruningReducesWork:
             )
             assert full.stats.patterns_visited <= none.stats.patterns_visited
             assert full.max_score == pytest.approx(none.max_score, abs=1e-12)
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return generate_synthetic(preset_spec("small"), seed=0)
+
+    # (visited, bound fires, subgraph fires, supergraph fires, subgraph tests, residual tests)
+    @pytest.mark.parametrize("cfg, counts", [
+        (MiningConfig(max_edges=6, top_k=5, min_freq_p=0.5), (73, 0, 8, 0, 1912, 8)),
+        (MiningConfig(max_edges=6, top_k=5, min_freq_p=0.5, use_subgraph_prune=False,
+                      use_supergraph_prune=False), (79, 0, 0, 0, 3312, 0)),
+        (MiningConfig(max_edges=4, top_k=5), (5424, 4757, 7, 0, 20470, 243)),
+        (MiningConfig(max_edges=4, top_k=5, embedding_cap=1), (5186, 4537, 7, 0, 140688, 7)),
+    ], ids=["full", "bound-only", "floor0", "floor0-cap1"])
+    def test_work_counters_are_pinned(self, small, cfg, counts):
+        # Every counter is deterministic, and the report carries them: a change that moves one
+        # changes the work the search does, not just its speed.
+        s = mine(small.positives, small.negatives, cfg).stats
+        assert (s.patterns_visited, s.bound_prune_fires, s.subgraph_prune_fires, s.supergraph_prune_fires,
+                s.subiso_tests, s.residual_tests) == counts
 
 
 class TestCyclicCollector:
@@ -337,7 +356,7 @@ class TestCyclicCollector:
             assert result.stats.patterns_visited > 10
         instances = find_instances(result.ranked[0].pattern, data.test_graph)
         assert instances
-        witnesses = [temporal_subgraph_test(result.ranked[0].pattern, g) for g in data.positives]
+        witnesses = [find_embeddings(result.ranked[0].pattern, g, limit=1) for g in data.positives]
         assert any(witnesses)
         del result, instances, witnesses
         assert gc.collect() == 0

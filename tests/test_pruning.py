@@ -325,7 +325,8 @@ class TestSupergraphPruneCheck:
         registry = PatternRegistry()
         registry.finalize(registry.add(small, sig_of(small, pos)), 0.0)
         hit = supergraph_prune_check(
-            big, sig_of(big, pos), lambda: sig_of(big, []), registry, fstar=10.0
+            big, sig_of(big, pos), lambda: sig_of(big, []), registry, fstar=10.0,
+            sig_n_of=lambda e: sig_of(e.pattern, []),
         )
         assert hit is None
 
@@ -440,12 +441,13 @@ class TestIntegerCollision:
 class TestRegistry:
     def test_capacity_stops_inserting(self):
         pos = [chain_negative()]
-        registry = PatternRegistry(max_entries=1)
+        registry = PatternRegistry()
+        registry.max_entries = 1
         p1 = canonical_pattern(["B0", "B1"], [(0, 1, 1)])
         p2 = canonical_pattern(["B1", "B2"], [(0, 1, 1)])
         assert registry.add(p1, sig_of(p1, pos)) is not None
         assert registry.add(p2, sig_of(p2, pos)) is None
-        assert len(registry) == 1
+        assert len(registry.entries) == 1
 
     def test_bucket_filter_is_decision_neutral(self):
         # Same decisions with the I-value bucket index as with a full scan
