@@ -140,7 +140,10 @@ def _cmd_match(args) -> int:
                         "interval": list(inst.interval),
                     }
                 )
-    Path(args.out).write_text(json.dumps({"instances": instances}, indent=2, sort_keys=True) + "\n")
+    # one instance per line; an encoder without indent runs in C
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = ",\n".join(map(encode, instances))
+    Path(args.out).write_text(f'{{"instances": [\n{lines}\n]}}\n' if instances else '{"instances": []}\n')
     print(f"{len(instances)} identified instances -> {args.out}")
     return 0
 
@@ -150,15 +153,26 @@ def _cmd_eval(args) -> int:
     truth = matcher.load_ground_truth(args.truth)
     by_behavior: dict[str, list[matcher.Instance]] = {}
     items = datakit.json_value(payload, "instances", what="instances file")
-    try:
-        for item in items:
-            inst = matcher.Instance(
-                embedding=matcher.Embedding(tuple(item["nodes"]), tuple(item["times"])),
-                interval=tuple(item["interval"]),
-            )
-            by_behavior.setdefault(item["behavior"], []).append(inst)
-    except KeyError as exc:
-        raise datakit.ParseError(f"instances file lacks key {exc}") from None
+    if not isinstance(items, list):
+        raise datakit.ParseError("instances file: instances is not a JSON list")
+    for n, item in enumerate(items):
+        where = f"instances file entry {n}"
+        if not isinstance(item, dict):
+            raise datakit.ParseError(f"{where} is not a JSON object")
+        for key in ("behavior", "nodes", "times", "interval"):
+            if key not in item:
+                raise datakit.ParseError(f"{where} lacks key {key!r}")
+        if not isinstance(item["behavior"], str):
+            raise datakit.ParseError(f"{where}: behavior is not a string")
+        for key in ("nodes", "times", "interval"):
+            if not (isinstance(item[key], list) and all(type(v) is int for v in item[key])):
+                raise datakit.ParseError(f"{where}: {key} is not a list of integers")
+        interval = item["interval"]
+        if len(interval) != 2 or interval[0] > interval[1]:
+            raise datakit.ParseError(f"{where}: interval is not [start, end] with start <= end")
+        inst = matcher.Instance(matcher.Embedding(tuple(item["nodes"]), tuple(item["times"])),
+                                tuple(interval))
+        by_behavior.setdefault(item["behavior"], []).append(inst)
     report = matcher.evaluate(by_behavior, truth)
     out = {
         "precision": report.precision,

@@ -181,8 +181,12 @@ class _Session:
 
     def children(self, pattern: TemporalPattern, table: EmbeddingTable) -> Iterator[tuple]:
         """(child, child table, freq_p) per one-edge growth that meets the support floor; ``expand``
-        reads children off matches, so each has support in some positive graph."""
-        for child, child_table in expand(pattern, table, self.positives, self.cfg.embedding_cap).items():
+        reads children off matches, so each has support in some positive graph.  Each child's table
+        is taken out of ``expand``'s result before it is checked, so it is freed as soon as the
+        child is rejected or its visit ends, not when the last sibling is done."""
+        kids = expand(pattern, table, self.positives, self.cfg.embedding_cap)
+        for child in list(kids):
+            child_table = kids.pop(child)
             freq_p = self.exact_support(child, child_table) / len(self.positives)
             if freq_p >= self.cfg.min_freq_p:
                 yield child, child_table, freq_p

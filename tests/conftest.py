@@ -14,6 +14,7 @@ from typing import Optional
 
 import pytest
 
+from tpmine.datakit import generate_synthetic, preset_spec
 from tpmine.graphs import TemporalGraph, TemporalPattern, canonical_pattern, validate
 
 
@@ -106,3 +107,9 @@ def desk_instance(seed: int, labels: str = "ABCD"):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def medium_corpus():
+    """The ``medium`` preset at seed 0, shared by the acceptance and CLI tests."""
+    return generate_synthetic(preset_spec("medium"), seed=0)

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from tpmine.datakit import generate_synthetic, preset_spec, replicate
+from tpmine.datakit import replicate
 from tpmine.graphs import canonical_pattern, verify_embedding
 from tpmine.matcher import evaluate, find_instances
 from tpmine.miner import MiningConfig, mine
@@ -42,11 +42,6 @@ BUDGET = OracleBudget(wall_seconds=300.0)
 def _report(name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[ACCEPTANCE] {name}: {status}{(' - ' + detail) if detail else ''}")
-
-
-@pytest.fixture(scope="module")
-def medium_corpus():
-    return generate_synthetic(preset_spec("medium"), seed=0)
 
 
 BENCH_CFG = MiningConfig(max_edges=6, top_k=5, min_freq_p=0.5, behavior="planted")

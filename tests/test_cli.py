@@ -6,7 +6,8 @@ from dataclasses import fields, replace
 import pytest
 
 from tpmine.cli import main
-from tpmine.datakit import config_to_dict, load_dataset, report_queries, result_to_dict
+from tpmine.datakit import config_to_dict, load_dataset, report_queries, result_to_dict, save_dataset
+from tpmine.matcher import find_instances, save_ground_truth
 from tpmine.miner import MiningConfig, mine
 from tpmine.scoring import GTest
 
@@ -241,6 +242,88 @@ def test_eval_missing_key_is_data_error(tmp_path, capsys, payload, key):
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
+
+
+@pytest.mark.parametrize("payload, phrase", [
+    ({"instances": 5}, "not a JSON list"),
+    ({"instances": [7]}, "entry 0 is not a JSON object"),
+    ({"instances": [{"behavior": 7, "nodes": [0], "times": [1], "interval": [1, 1]}]}, "behavior"),
+    ({"instances": [{"behavior": "b", "nodes": "01", "times": [1], "interval": [1, 1]}]}, "nodes"),
+    ({"instances": [{"behavior": "b", "nodes": [True], "times": [1], "interval": [1, 1]}]}, "nodes"),
+    ({"instances": [{"behavior": "b", "nodes": [0], "times": [1.5], "interval": [1, 1]}]}, "times"),
+    ({"instances": [{"behavior": "b", "nodes": [0], "times": [1], "interval": 7}]}, "interval"),
+    ({"instances": [{"behavior": "b", "nodes": [0], "times": [1], "interval": ["1", "1"]}]}, "interval"),
+    ({"instances": [{"behavior": "b", "nodes": [0], "times": [5], "interval": [5]}]}, "interval"),
+    ({"instances": [{"behavior": "b", "nodes": [0], "times": [5], "interval": [5, 2]}]}, "interval"),
+    ({"instances": [{"behavior": "b", "nodes": [0], "times": [1], "interval": [1, 1, 1]}]}, "interval"),
+])
+def test_eval_malformed_instance_is_data_error(tmp_path, capsys, payload, phrase):
+    truth = tmp_path / "truth.txt"
+    truth.write_text("behavior b 1 1\n")
+    instances = tmp_path / "instances.json"
+    instances.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["eval", "--instances", str(instances), "--truth", str(truth)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: instances file") and phrase in err[0], err
+
+
+@pytest.fixture(scope="module")
+def medium_workspace(medium_corpus, tmp_path_factory):
+    """The shared medium corpus as files, mined with the benchmark's flags."""
+    root = tmp_path_factory.mktemp("medium")
+    data = medium_corpus
+    save_dataset(root / "pos.tg", [("positive", g) for g in data.positives])
+    save_dataset(root / "neg.tg", [("negative", g) for g in data.negatives])
+    save_dataset(root / "test.tg", [("test", data.test_graph)])
+    save_ground_truth(data.truth, root / "truth.txt")
+    assert main(["mine", "--pos", str(root / "pos.tg"), "--neg", str(root / "neg.tg"),
+                 "--max-edges", "6", "--top-k", "5", "--min-freq-p", "0.5",
+                 "--behavior", "planted", "--out", str(root / "report.json")]) == 0
+    return root
+
+
+def test_match_writes_one_instance_per_line(medium_workspace, medium_corpus):
+    root = medium_workspace
+    window = max(end - start for _, start, end in medium_corpus.truth.entries)
+    out = root / "instances.json"
+    assert main(["match", "--queries", str(root / "report.json"), "--graph", str(root / "test.tg"),
+                 "--window", str(window), "--out", str(out)]) == 0
+    test_graph = load_dataset(root / "test.tg")[2][0]
+    queries = report_queries(json.loads((root / "report.json").read_text()))
+    expected = [
+        {"behavior": "planted", "query": qi, "graph": test_graph.id, "nodes": list(inst.embedding.nodes),
+         "times": list(inst.embedding.times), "interval": list(inst.interval)}
+        for qi, q in enumerate(queries)
+        for inst in find_instances(q, test_graph, window=window)
+    ]
+    assert expected
+    text = out.read_text()
+    assert json.loads(text) == {"instances": expected}
+    lines = text.split("\n")
+    assert lines[0] == '{"instances": [' and lines[-2:] == ["]}", ""]
+    inner = lines[1:-2]
+    assert len(inner) == len(expected)
+    for n, (line, want) in enumerate(zip(inner, expected)):
+        last = n == len(inner) - 1
+        assert line.endswith(",") != last, line
+        assert line == json.dumps(want, sort_keys=True) + ("" if last else ",")
+
+
+def test_match_without_instances_writes_empty_list(medium_workspace, tmp_path, capsys):
+    root = medium_workspace
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"config": {"behavior": "planted"},
+                                  "patterns": [{"edges": [_query_edge(0, "absent", 1, "absent", 1)]}]}))
+    out = tmp_path / "instances.json"
+    assert main(["match", "--queries", str(report), "--graph", str(root / "test.tg"),
+                 "--out", str(out)]) == 0
+    assert out.read_text() == '{"instances": []}\n'
+    capsys.readouterr()
+    assert main(["eval", "--instances", str(out), "--truth", str(root / "truth.txt")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["behaviors"][0]["identified"] == 0 and summary["recall"] == 0.0
 
 
 def test_match_report_without_patterns_is_data_error(workspace, tmp_path, capsys):

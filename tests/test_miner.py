@@ -4,12 +4,14 @@ import gc
 import json
 import math
 import random
+import weakref
 
 import pytest
 
 from tpmine.datakit import generate_synthetic, preset_spec, result_to_dict
 from tpmine.graphs import canonical_pattern, validate
-from tpmine.growth import EmbeddingTable, empty_pattern
+from tpmine import miner
+from tpmine.growth import EmbeddingTable, empty_pattern, empty_table, expand
 from tpmine.matcher import find_instances
 from tpmine.miner import ConfigInvalid, EmptyDataset, MiningConfig, _Session, mine
 from tpmine.oracle import oracle_best_score, oracle_frequency
@@ -335,6 +337,30 @@ class TestPruningReducesWork:
         s = mine(small.positives, small.negatives, cfg).stats
         assert (s.patterns_visited, s.bound_prune_fires, s.subgraph_prune_fires, s.supergraph_prune_fires,
                 s.subiso_tests, s.residual_tests) == counts
+
+
+class TestChildTables:
+    def test_each_child_table_is_freed_once_consumed(self, monkeypatch):
+        data = generate_synthetic(preset_spec("small"), seed=0)
+        built = []
+
+        def recording_expand(*args):
+            kids = expand(*args)
+            built.extend(weakref.ref(t) for t in kids.values())
+            return kids
+
+        monkeypatch.setattr(miner, "expand", recording_expand)
+        session = _Session(data.positives, data.negatives, MiningConfig(min_freq_p=0.5), None)
+        yielded = []
+        for _, table, _ in session.children(empty_pattern(), empty_table(session.positives)):
+            i = next(k for k, ref in enumerate(built) if ref() is table)
+            # siblings before this one were visited or rejected by the floor; later ones wait
+            assert all(ref() is None for ref in built[:i])
+            assert all(ref() is not None for ref in built[i + 1:])
+            yielded.append(i)
+        del table
+        assert all(ref() is None for ref in built)
+        assert len(yielded) < len(built), "the support floor rejects some seeds"
 
 
 class TestCyclicCollector:
