@@ -167,11 +167,12 @@ def _cmd_eval(args) -> int:
         for key in ("nodes", "times", "interval"):
             if not (isinstance(item[key], list) and all(type(v) is int for v in item[key])):
                 raise datakit.ParseError(f"{where}: {key} is not a list of integers")
-        interval = item["interval"]
-        if len(interval) != 2 or interval[0] > interval[1]:
-            raise datakit.ParseError(f"{where}: interval is not [start, end] with start <= end")
-        inst = matcher.Instance(matcher.Embedding(tuple(item["nodes"]), tuple(item["times"])),
-                                tuple(interval))
+        times, interval = item["times"], item["interval"]
+        if not times:
+            raise datakit.ParseError(f"{where}: times is empty")
+        if interval != [min(times), max(times)]:
+            raise datakit.ParseError(f"{where}: interval is not [min(times), max(times)]")
+        inst = matcher.Instance(matcher.Embedding(tuple(item["nodes"]), tuple(times)), tuple(interval))
         by_behavior.setdefault(item["behavior"], []).append(inst)
     report = matcher.evaluate(by_behavior, truth)
     out = {
@@ -299,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True, help="mining report JSON")
     p.add_argument("--graph", required=True, help="dataset file with test graphs")
     p.add_argument("--limit", type=_positive_int, default=None)
-    p.add_argument("--window", type=_non_negative_int, default=None,
-                   help="maximum instance duration in ticks (last - first edge time)")
+    p.add_argument("--window", type=_positive_int, default=None,
+                   help="maximum instance duration in ticks (last - first edge time); omit for no bound")
     p.add_argument("--tie-policy", default="reject", choices=["reject", "inputOrder"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_match)

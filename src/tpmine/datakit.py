@@ -50,18 +50,90 @@ class SpecInvalid(ValueError):
 ROLES = ("positive", "negative", "test")
 
 
+# The line breaks of ``str.splitlines`` other than "\n"; a block holding one is read line by line.
+_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def parse_dataset(text: str, tie_policy: str = "reject") -> list[tuple[str, TemporalGraph]]:
     """Parse a dataset document into (role, graph) pairs, in file order; each graph's edge
-    columns are ordered and checked once, at its end, by ``graphs.validate_columns``."""
+    columns are ordered and checked once, at its end, by ``graphs.validate_columns``.
+
+    The text is cut into blocks before every line that starts with ``g ``.  A regular block
+    (see ``_regular_block``) is read with one ``str.split`` per record run; every other block,
+    and every block whose graph fails a check, goes through ``_parse_lines``, which names the
+    line at fault.
+    """
     graphs: list[tuple[str, TemporalGraph]] = []
     seen_ids: set[str] = set()
+    cuts = [0]
+    i = text.find("\ng ")
+    while i >= 0:
+        cuts.append(i + 1)
+        i = text.find("\ng ", i + 1)
+    cuts.append(len(text))
+    line = 1  # number of the block's first line
+    for a, b in zip(cuts, cuts[1:]):
+        parsed = _regular_block(text, a, b, seen_ids, tie_policy)
+        if parsed is None:
+            lines = text[a:b].splitlines()
+            _parse_lines(lines, line, graphs, seen_ids, tie_policy)
+            line += len(lines)
+        else:
+            graphs.append(parsed)
+            seen_ids.add(parsed[1].id)
+            line += text.count("\n", a, b)
+    return graphs
+
+
+def _regular_block(text: str, a: int, b: int, seen_ids: set[str],
+                   tie_policy: str) -> Optional[tuple[str, TemporalGraph]]:
+    """(role, graph) of the block text[a:b] if it is regular and its graph passes every check,
+    else None.
+
+    A regular block is a header ``g <id> <role>`` with a known role and a new id, then only
+    ``v`` lines with dense indices, then only ``e`` lines with integer fields.  Every line
+    starts with its tag and a space and ends in "\n", and no other line break occurs.  The
+    tags then sit exactly at every third (fourth) token of the ``v`` (``e``) run: no label is
+    ``v`` and ``int`` reads no tag, so each line holds exactly the tokens the line loop reads.
+    """
+    if not text.startswith("g ", a) or text[b - 1] != "\n" or any(text.find(c, a, b) >= 0
+                                                                   for c in _OTHER_LINE_BREAKS):
+        return None
+    h = text.index("\n", a)
+    header = text[a:h].split()
+    if len(header) != 3 or header[2] not in ROLES or header[1] in seen_ids:
+        return None
+    e = text.find("\ne ", h, b) + 1 or b  # start of the first 'e' line
+    nv, ne = text.count("\n", h + 1, e), text.count("\n", e, b)
+    if text.count("\nv ", h, e) != nv or text.count("\ne ", e - 1, b) != ne:
+        return None
+    v, edges = text[h + 1:e].split(), text[e:b].split()
+    if (len(v) != 3 * nv or v[0::3].count("v") != nv or "v" in v[2::3]
+            or len(edges) != 4 * ne or edges[0::4].count("e") != ne):
+        return None
+    try:
+        if list(map(int, v[1::3])) != list(range(nv)):
+            return None
+        srcs, dsts, ts = [list(map(int, edges[k::4])) for k in (1, 2, 3)]
+    except ValueError:
+        return None
+    try:
+        return header[2], validate_columns(header[1], v[2::3], srcs, dsts, ts, tie_policy=tie_policy)
+    except ValueError:
+        return None
+
+
+def _parse_lines(lines: list[str], first: int, graphs: list[tuple[str, TemporalGraph]],
+                 seen_ids: set[str], tie_policy: str) -> None:
+    """Parse ``lines``, line ``first`` of the document onward, one line at a time, appending
+    each (role, graph) to ``graphs`` and its id to ``seen_ids``; a fault raises ParseError
+    (TieRejected for a tie) naming its line."""
     gid: Optional[str] = None
     role = ""
     labels: list[str] = []
     srcs, dsts, ts = [], [], []  # edge columns, in file order
     checked = 0  # edges of the current graph already checked against its declared nodes
     start_line = 0
-    lines = text.splitlines()
 
     def check_endpoints():
         """Edges not yet checked must name nodes declared before them, at their own 'e' line."""
@@ -69,7 +141,8 @@ def parse_dataset(text: str, tie_policy: str = "reject") -> list[tuple[str, Temp
         n, s, d = len(labels), srcs[checked:], dsts[checked:]
         if s and (min(s) < 0 or min(d) < 0 or max(s) >= n or max(d) >= n):
             k = checked + next(k for k, (a, b) in enumerate(zip(s, d)) if not (0 <= a < n and 0 <= b < n))
-            e_lines = [i + 1 for i in range(start_line, len(lines)) if lines[i].split()[:1] == ["e"]]
+            e_lines = [first + i for i in range(start_line - first + 1, len(lines))
+                       if lines[i].split()[:1] == ["e"]]
             raise ParseError(f"edge endpoint outside declared nodes 0..{n - 1}", e_lines[k])
         checked = len(srcs)
 
@@ -84,9 +157,9 @@ def parse_dataset(text: str, tie_policy: str = "reject") -> list[tuple[str, Temp
         except ValueError as exc:
             raise ParseError(f"graph {gid!r} (started line {start_line}): {exc}", line) from exc
 
-    lineno = 0
+    lineno = first - 1
     try:
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(lines, start=first):
             parts = raw.split()
             if not parts:
                 continue
@@ -134,7 +207,6 @@ def parse_dataset(text: str, tie_policy: str = "reject") -> list[tuple[str, Temp
         check_endpoints()  # an earlier 'e' line's endpoint error comes first
         raise
     flush(lineno)
-    return graphs
 
 
 def load_dataset(

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, chain, compress, count, islice
 from operator import eq, lt
 from typing import Iterable, Mapping, Sequence
 
@@ -48,11 +49,12 @@ class NotTConnected(GraphError):
     pass
 
 
-def _csr(codes: list[int], m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """CSR groups from packed codes ``node * m + pos``: the positions grouped by node id, in
-    time order within a group, and the n + 1 offsets where each node's group starts."""
-    codes.sort()
-    return tuple([c % m for c in codes]), tuple([bisect_left(codes, v * m) for v in range(n + 1)])
+def _groups(col: Sequence[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """CSR groups of a column of node ids: its indices grouped by node id, in order within a group
+    (the sort is stable), and the n + 1 offsets where the groups of nodes 0..n-1 start and end."""
+    counts = Counter(col)
+    return (tuple(sorted(range(len(col)), key=col.__getitem__)),
+            tuple(accumulate(map(counts.__getitem__, range(n)), initial=0)))
 
 
 def _code_range(codes: tuple[int, ...], key: int, m: int, after: int) -> tuple[tuple, int, int, int]:
@@ -94,34 +96,48 @@ class TemporalGraph:
         return len(ts) - bisect_right(ts, t)
 
     def edge_index(self) -> tuple[tuple[tuple, tuple], tuple[tuple, tuple], tuple[int, ...]]:
-        """Edge positions in time order by source and by destination, as CSR groups (see ``_csr``),
+        """Edge positions in time order by source and by destination, as CSR groups (see ``_groups``),
         and by node pair as the sorted codes ``(src * n_nodes + dst) * n_edges + pos``.
 
-        Each column is cached as its own flat tuple of ints: the cyclic collector visits a
-        container before its items and untracks a tuple only once its items are untracked, so
-        one collection untracks flat columns but not tuples of them.
+        Each column is cached under its own key, as its own flat tuple of ints, and built on the
+        first lookup that needs it (``edge_range`` reads them directly); this call builds any that
+        are missing.  The cyclic collector visits a container before its items and untracks a
+        tuple only once its items are untracked, so one collection untracks flat columns but not
+        tuples of them.
         """
         c = self._cache
+        if "src_offsets" not in c:
+            c["src_positions"], c["src_offsets"] = _groups(self.srcs, len(self.labels))
+        if "dst_offsets" not in c:
+            c["dst_positions"], c["dst_offsets"] = _groups(self.dsts, len(self.labels))
         if "by_pair" not in c:
-            m, n, srcs, dsts = len(self.srcs), len(self.labels), self.srcs, self.dsts
-            c["src_positions"], c["src_offsets"] = _csr([s * m + p for p, s in enumerate(srcs)], m, n)
-            c["dst_positions"], c["dst_offsets"] = _csr([d * m + p for p, d in enumerate(dsts)], m, n)
-            c["by_pair"] = tuple(sorted([(s * n + d) * m + p for p, (s, d) in enumerate(zip(srcs, dsts))]))
+            self._build_by_pair()
         return (c["src_positions"], c["src_offsets"]), (c["dst_positions"], c["dst_offsets"]), c["by_pair"]
+
+    def _build_by_pair(self) -> tuple[int, ...]:
+        """Build and cache the node-pair column of ``edge_index``."""
+        m, n = len(self.srcs), len(self.labels)
+        codes = tuple(sorted([(s * n + d) * m + p for p, (s, d) in enumerate(zip(self.srcs, self.dsts))]))
+        self._cache["by_pair"] = codes
+        return codes
 
     def edge_range(self, src: int, dst: int, after: int = -1) -> tuple[tuple, int, int, int]:
         """(column, base, lo, hi): ``column[i] - base`` for i in [lo, hi) are the time-ordered
         positions past ``after`` of the edges from ``src`` to ``dst``, one of which may be -1
-        (any node), read from the tightest ``edge_index`` column."""
+        (any node), read from the tightest ``edge_index`` column.  Only that column is built,
+        on the first lookup that needs it."""
         c = self._cache
-        if "by_pair" not in c:
-            self.edge_index()
         if src < 0:
+            if "dst_offsets" not in c:
+                c["dst_positions"], c["dst_offsets"] = _groups(self.dsts, len(self.labels))
             positions, offsets, v = c["dst_positions"], c["dst_offsets"], dst
         elif dst < 0:
+            if "src_offsets" not in c:
+                c["src_positions"], c["src_offsets"] = _groups(self.srcs, len(self.labels))
             positions, offsets, v = c["src_positions"], c["src_offsets"], src
         else:
-            return _code_range(c["by_pair"], src * len(self.labels) + dst, len(self.srcs), after)
+            codes = c["by_pair"] if "by_pair" in c else self._build_by_pair()
+            return _code_range(codes, src * len(self.labels) + dst, len(self.srcs), after)
         hi = offsets[v + 1]
         return positions, 0, bisect_right(positions, after, offsets[v], hi), hi
 
@@ -130,10 +146,12 @@ class TemporalGraph:
         as in ``edge_index``)."""
         c = self._cache
         if "incident_positions" not in c:
-            m = len(self.srcs)
-            c["incident_positions"], c["incident_offsets"] = _csr(
-                [v * m + p for p, (s, d) in enumerate(zip(self.srcs, self.dsts)) if s != d for v in (s, d)],
-                m, len(self.labels))
+            n = len(self.labels)
+            ends = list(chain.from_iterable(zip(self.srcs, self.dsts)))  # edge p's endpoints at 2p, 2p + 1
+            for p in compress(count(), map(eq, self.srcs, self.dsts)):
+                ends[2 * p] = ends[2 * p + 1] = n  # a self-loop goes to node n, whose group is cut off
+            order, c["incident_offsets"] = _groups(ends, n)
+            c["incident_positions"] = tuple([i >> 1 for i in order[:c["incident_offsets"][n]]])
         return c["incident_positions"], c["incident_offsets"]
 
     def last_label_positions(self) -> dict[str, int]:

@@ -256,6 +256,9 @@ def test_eval_missing_key_is_data_error(tmp_path, capsys, payload, key):
     ({"instances": [{"behavior": "b", "nodes": [0], "times": [5], "interval": [5]}]}, "interval"),
     ({"instances": [{"behavior": "b", "nodes": [0], "times": [5], "interval": [5, 2]}]}, "interval"),
     ({"instances": [{"behavior": "b", "nodes": [0], "times": [1], "interval": [1, 1, 1]}]}, "interval"),
+    ({"instances": [{"behavior": "b", "nodes": [0], "times": [], "interval": [1, 1]}]}, "times is empty"),
+    ({"instances": [{"behavior": "b", "nodes": [0, 1], "times": [100], "interval": [5, 6]}]}, "interval"),
+    ({"instances": [{"behavior": "b", "nodes": [0, 1], "times": [3, 1], "interval": [3, 1]}]}, "interval"),
 ])
 def test_eval_malformed_instance_is_data_error(tmp_path, capsys, payload, phrase):
     truth = tmp_path / "truth.txt"
@@ -378,6 +381,20 @@ def test_negative_window_is_usage_error(workspace, tmp_path):
                  "--max-edges", "2", "--out", str(report)]) == 0
     assert main(["match", "--queries", str(report), "--graph", str(data / "test.tg"),
                  "--window", "-1", "--out", str(tmp_path / "instances.json")]) == 1
+
+
+def test_zero_window_is_usage_error(workspace, tmp_path, capsys):
+    # A window of 0 would read as no bound in find_embeddings; the CLI refuses it instead.
+    data = workspace / "data"
+    report = tmp_path / "report.json"
+    assert main(["mine", "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg"),
+                 "--max-edges", "2", "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["match", "--queries", str(report), "--graph", str(data / "test.tg"),
+                 "--window", "0", "--out", str(tmp_path / "instances.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--window: must be positive" in err, err
+    assert not (tmp_path / "instances.json").exists()
 
 
 @pytest.mark.parametrize("limit", ["0", "-3"])

@@ -261,7 +261,8 @@ def _containers(obj) -> list:
 def test_pipeline_reads_only_the_edge_columns(tmp_path):
     """Loading, mining and matching build no edge objects, and the collector tracks no column.
 
-    Each graph caches its edge indexes as at most nine flat columns, whatever its size.
+    Each graph caches its edge indexes as at most nine flat columns, whatever its size; every
+    column is built here explicitly, since a lookup builds only the columns it reads.
     """
     data = generate_synthetic(preset_spec("small"), seed=0)
     path = tmp_path / "all.tg"
@@ -271,6 +272,8 @@ def test_pipeline_reads_only_the_edge_columns(tmp_path):
     result = mine(positives, negatives, MiningConfig(max_edges=4, top_k=3, behavior="planted"))
     assert sum(len(find_instances(sp.pattern, tests[0])) for sp in result.ranked) > 0
     loaded = positives + negatives + tests
+    for g in loaded:
+        g.edge_index(), g.incident(), g.label_pair_index()
     assert not [g.id for g in loaded if "edges" in g._cache]
     gc.collect()
     assert not [g.id for g in loaded for col in (g.srcs, g.dsts, g.timestamps) if gc.is_tracked(col)]

@@ -239,6 +239,28 @@ def test_edge_indexes_hold_position_tuples():
                                                 *g.incident()]))
 
 
+def test_edge_range_builds_only_the_column_it_reads():
+    # Each edge_index column has its own cache key and is built on the first lookup that reads it.
+    g = validate("g", ["A", "B", "A"], [(0, 1, 4), (1, 2, 2), (0, 1, 7), (2, 0, 9)])
+    columns = {"src_positions", "src_offsets", "dst_positions", "dst_offsets", "by_pair"}
+
+    def built():
+        return columns & g._cache.keys()
+
+    assert built() == set()
+    assert _positions(*g.edge_range(0, -1)) == (1, 2)
+    assert built() == {"src_positions", "src_offsets"}
+    assert _positions(*g.edge_range(0, 1, after=1)) == (2,)
+    assert built() == {"src_positions", "src_offsets", "by_pair"}
+    assert _positions(*g.edge_range(-1, 0)) == (3,)
+    assert built() == columns
+    cached = {key: g._cache[key] for key in columns}
+    g.edge_index()
+    assert all(g._cache[key] is col for key, col in cached.items())
+    fresh = validate("g", g.labels, zip(g.srcs, g.dsts, g.timestamps))
+    assert fresh.edge_index() == g.edge_index() and columns <= fresh._cache.keys()
+
+
 def test_incident_index_lists_non_loop_edges_per_node():
     # Positions in time order per node id; an edge between two nodes is listed under both.
     g = validate("g", ["A", "B", "A", "C"], [(0, 1, 4), (1, 2, 2), (0, 1, 7), (2, 2, 9), (2, 0, 12)],
