@@ -1,11 +1,10 @@
-"""Tour of the core model: temporal graphs, patterns, and sequence encodings.
+"""Tour of the core model: temporal graphs, patterns, and subgraph witnesses.
 
 Run:  python demos/01_temporal_graphs_and_sequences.py
 """
 
 from tpmine import (
     canonical_pattern,
-    encode,
     is_t_connected,
     temporal_subgraph_test,
     validate,
@@ -46,15 +45,8 @@ print("canonical pattern:", pattern.text())
 other = canonical_pattern(["Proc", "File", "Proc"], [(0, 1, 1), (1, 2, 2)])
 print("equal?", pattern.key() == other.key())
 
-# Every temporal graph is faithfully described by three sequences: nodes in
-# first-visit order, edges in time order, and the enhanced node sequence
-# that subgraph testing scans.
-nodeseq, edgeseq, enhseq = encode(trace)
-print("node sequence:", [(n, lab) for n, lab in nodeseq.entries])
-print("edge sequence:", edgeseq.entries)
-print("enhanced:     ", [(n, lab) for n, lab in enhseq.entries])
-
-# The subsequence-based subgraph test finds a witness embedding: a node map
-# plus an order-preserving timestamp map.
+# The temporal subgraph test finds a witness embedding: a node map plus an
+# order-preserving timestamp map.  It is the chronologically first match,
+# found by binding the pattern's edges in time order to later data edges.
 witness = temporal_subgraph_test(pattern, trace)
 print("pattern occurs in trace:", witness)

@@ -42,8 +42,8 @@ print(f"exhaustive optimum: {best:.6f}")
 print(f"same maximizer set: "
       f"{ {sp.pattern.key() for sp in result.maximizers} == {p.key() for p in argmax.values()} }")
 
-# Subgraph testing: the paper's sequence-based test and the backtracking
-# oracle always agree.  Mining itself searches with find_embeddings.
+# Subgraph testing: the miner's first-match test and the backtracking oracle
+# always agree.
 agreements = 0
 for _ in range(200):
     g = random_graph(rng, "x")

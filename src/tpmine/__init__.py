@@ -21,11 +21,7 @@ from .graphs import (
     validate,
     verify_embedding,
 )
-from .sequences import (
-    encode,
-    find_embeddings,
-    temporal_subgraph_test,
-)
+from .sequences import find_embeddings, temporal_subgraph_test
 from .growth import (
     EmbeddingTable,
     empty_pattern,

@@ -49,6 +49,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _report_number(doc, *path: str, what: str = "report", integer: bool = False):
+    """``datakit.json_value(doc, *path)``, which must be a JSON number (an integer if asked) and
+    not a boolean; ParseError otherwise."""
+    value = datakit.json_value(doc, *path, what=what)
+    if type(value) not in ((int,) if integer else (int, float)):
+        raise datakit.ParseError(f"{'.'.join((what,) + path)} is not {'an integer' if integer else 'a number'}")
+    return value
+
+
 def _cmd_gen(args) -> int:
     spec = datakit.preset_spec(args.preset)
     overrides = {}
@@ -126,6 +135,8 @@ def _cmd_match(args) -> int:
     if not isinstance(config, dict):
         raise datakit.ParseError("report.config is not a JSON object")
     behavior = config.get("behavior", "behavior")
+    if not isinstance(behavior, str):
+        raise datakit.ParseError("report.config.behavior is not a string")
     instances = []
     for qi, q in enumerate(queries):
         for g in tests:
@@ -234,8 +245,11 @@ def _cmd_verify(args) -> int:
     negatives = datakit.load_dataset(args.neg, tie_policy=args.tie_policy)[1]
     score = datakit.score_fn_from_dict(datakit.json_value(report, "config", "score"))
     if args.exhaustive:
-        max_edges = datakit.json_value(report, "config", "maxEdges")
-        reported_max = datakit.json_value(report, "maxScore")
+        max_edges = _report_number(report, "config", "maxEdges", integer=True)
+        reported_max = _report_number(report, "maxScore")
+    expected = [tuple(_report_number(meta, key, what=f"report pattern {qi}")
+                      for key in ("freqP", "freqN", "score"))
+                for qi, meta in enumerate(report["patterns"])]
     # Per-query frequency checks only need structural room for the actual
     # inputs; the exhaustive re-mining below keeps the tight default limits
     # so oversized instances fail loudly instead of running for days.
@@ -249,9 +263,7 @@ def _cmd_verify(args) -> int:
     )
     budget = oracle.OracleBudget(wall_seconds=args.budget_seconds)
     failures = 0
-    for qi, (q, meta) in enumerate(zip(queries, report["patterns"])):
-        want_p, want_n, want_score = (datakit.json_value(meta, k, what=f"report pattern {qi}")
-                                      for k in ("freqP", "freqN", "score"))
+    for qi, (q, (want_p, want_n, want_score)) in enumerate(zip(queries, expected)):
         fp = oracle.oracle_frequency(q, positives, freq_budget)
         fn = oracle.oracle_frequency(q, negatives, freq_budget)
         ok = abs(fp - want_p) < 1e-9 and abs(fn - want_n) < 1e-9

@@ -35,8 +35,7 @@ from .pruning import (
     supergraph_prune_check,
 )
 from .scoring import GTest, InfoGain, InterestModel, LogRatio, ScoreFunction, ScoredPattern, rank
-# temporal_subgraph_test is not called: bench/tracing.py patches the name for --trace 1
-from .sequences import find_embeddings, first_extension, temporal_subgraph_test  # noqa: F401
+from .sequences import find_embeddings, temporal_subgraph_test
 
 
 class EmptyDataset(ValueError):
@@ -151,19 +150,10 @@ class _Session:
 
     def first_match(self, p: TemporalPattern, g: TemporalGraph,
                     parent_match: Optional[Embedding] = None) -> Optional[Embedding]:
-        """Chronologically first match of p in g, or None; counts one subgraph test.
-
-        ``parent_match`` is the first match in g of p minus its last edge; matches are ordered by
-        edge positions and each match of p extends a parent match, so its earliest extension, if
-        any, is p's first match, and with no parent edge there is nothing else to search.
-        """
+        """Chronologically first match of p in g, or None, extending ``parent_match`` (the first
+        match of p minus its last edge) when given; counts one subgraph test."""
         self.stats.subiso_tests += 1
-        if parent_match is not None:
-            found = first_extension(p, g, parent_match)
-            if found is not None or not parent_match.times:
-                return found
-        found = find_embeddings(p, g, limit=1)
-        return found[0] if found else None
+        return temporal_subgraph_test(p, g, parent_match)
 
     def exact_support(self, pattern: TemporalPattern, table: EmbeddingTable) -> int:
         """Number of positive graphs containing the pattern; exact even under truncation.

@@ -38,8 +38,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .graphs import TemporalGraph, TemporalPattern
 from .growth import EmbeddingTable
 from .scoring import ScoreFunction
-# temporal_subgraph_test is not called: bench/tracing.py patches the name for --trace 1
-from .sequences import find_embeddings, temporal_subgraph_test  # noqa: F401
+from .sequences import find_embeddings, temporal_subgraph_test
 
 
 @dataclass(frozen=True)
@@ -241,10 +240,10 @@ def supergraph_prune_check(
     """Mirror rule: g2 extends an explored pattern without changing residuals.
 
     Fires on a finalized entry g1 with branch maximum below fstar such that
-    g1 is a temporal subgraph of g2 (``find_embeddings`` finds a first
-    match), node counts match, and both positive and negative residuals are
-    equivalent.  Negative signatures are fetched lazily (first for the
-    candidate, through ``sig_n_of``, then for g2) because negative-side
+    g1 is a temporal subgraph of g2 (``temporal_subgraph_test`` finds a
+    first match), node counts match, and both positive and negative
+    residuals are equivalent.  Negative signatures are fetched lazily (first
+    for the candidate, through ``sig_n_of``, then for g2) because negative-side
     enumeration is the expensive part.  Entries that are ancestors of g2 are
     never finalized while g2 is open, so a pattern can never be pruned
     against its own growth path.
@@ -263,7 +262,7 @@ def supergraph_prune_check(
         registry.residual_tests += 1
         if not signatures_equivalent(sig2p, entry.sig_p):
             continue
-        if not find_embeddings(entry.pattern, g2, limit=1):
+        if temporal_subgraph_test(entry.pattern, g2) is None:
             continue
         entry_sig_n = sig_n_of(entry)
         if not entry_sig_n.exact:

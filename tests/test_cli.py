@@ -740,3 +740,50 @@ def test_match_without_config_keeps_default_behavior(workspace, tmp_path):
                  "--out", str(instances)]) == 0
     found = json.loads(instances.read_text())["instances"]
     assert found and {item["behavior"] for item in found} == {"behavior"}
+
+
+@pytest.mark.parametrize("path, value, exhaustive, phrase", [
+    (("patterns", 0, "freqP"), "x", False, "report pattern 0.freqP is not a number"),
+    (("patterns", 0, "freqN"), "x", False, "report pattern 0.freqN is not a number"),
+    (("patterns", 0, "score"), "x", False, "report pattern 0.score is not a number"),
+    (("patterns", 0, "score"), True, False, "report pattern 0.score is not a number"),
+    (("config", "maxEdges"), "x", True, "report.config.maxEdges is not an integer"),
+    (("config", "maxEdges"), 2.5, True, "report.config.maxEdges is not an integer"),
+    (("maxScore",), None, True, "report.maxScore is not a number"),
+])
+def test_verify_non_numeric_field_is_data_error(workspace, tmp_path, capsys, path, value, exhaustive, phrase):
+    data = workspace / "data"
+    report = tmp_path / "report.json"
+    assert main(["mine", "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg"),
+                 "--max-edges", "2", "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["verify", "--report", str(report), "--pos", str(data / "pos.tg"),
+                 "--neg", str(data / "neg.tg")] + (["--exhaustive"] if exhaustive else []))
+    out, err = capsys.readouterr()
+    err = err.strip().splitlines()
+    assert code == 2 and out == ""
+    assert err == [f"error: {phrase}"], err
+
+
+@pytest.mark.parametrize("behavior", [["planted"], 5, None])
+def test_match_non_string_behavior_is_data_error(workspace, tmp_path, capsys, behavior):
+    data = workspace / "data"
+    report = tmp_path / "report.json"
+    assert main(["mine", "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg"),
+                 "--max-edges", "2", "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    doc["config"]["behavior"] = behavior
+    report.write_text(json.dumps(doc))
+    instances = tmp_path / "instances.json"
+    capsys.readouterr()
+    code = main(["match", "--queries", str(report), "--graph", str(data / "test.tg"),
+                 "--out", str(instances)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and not instances.exists()
+    assert err == ["error: report.config.behavior is not a string"], err

@@ -21,6 +21,7 @@ from tpmine.oracle import (
 from tpmine.scoring import LogRatio
 
 import oracle_ref
+import sequence_ref
 from oracle_ref import oracle_residual_equal
 
 
@@ -147,7 +148,8 @@ def search_code_taken(path: Path) -> set[tuple[str, str]]:
 
 def test_oracle_shares_no_search_code():
     # Agreement with a reference only counts if it does not run the code it checks: the library's
-    # oracle takes nothing from the search modules, and the test-only references take the
-    # EmbeddingTable container and nothing else.
+    # oracle and the paper's sequence engine take nothing from the search modules, and the
+    # test-only oracle references take the EmbeddingTable container and nothing else.
     assert search_code_taken(Path(tpmine.oracle.__file__)) == set()
+    assert search_code_taken(Path(sequence_ref.__file__)) == set()
     assert search_code_taken(Path(oracle_ref.__file__)) <= {("tpmine.growth", "EmbeddingTable")}

@@ -1,4 +1,4 @@
-"""Sequence encodings and the subsequence-based temporal subgraph test."""
+"""The library's embedding search, and the paper's sequence-based subgraph test kept as its reference."""
 
 import random
 from itertools import product
@@ -6,17 +6,12 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpmine.graphs import canonical_pattern, validate, verify_embedding
+from tpmine.graphs import Embedding, canonical_pattern, validate, verify_embedding
 from tpmine.oracle import oracle_embeddings, oracle_subgraph_test
-from tpmine.sequences import (
-    SubgraphTestOptions,
-    encode,
-    find_embeddings,
-    is_subsequence,
-    temporal_subgraph_test,
-)
+from tpmine.sequences import find_embeddings, temporal_subgraph_test
 
 from conftest import embedded_pattern, random_graph, random_pattern
+from sequence_ref import SubgraphTestOptions, encode, is_subsequence, sequence_subgraph_test
 
 
 class TestEncode:
@@ -107,7 +102,7 @@ class TestTemporalSubgraphTest:
         # while the plain node sequence orders D before B and C.
         nsq_labels = [lab for _, lab in encode(g)[0].entries]
         assert not is_subsequence([lab for _, lab in p_nsq.entries], nsq_labels)
-        emb = temporal_subgraph_test(p, g)
+        emb = sequence_subgraph_test(p, g)
         assert emb is not None
         assert emb.nodes == (0, 5, 6, 4)
         mapped_edges = [(emb.nodes[s], emb.nodes[d]) for s, d in encode(p)[1].entries]
@@ -118,7 +113,7 @@ class TestTemporalSubgraphTest:
         rng = random.Random(21)
         for _ in range(50):
             p = random_pattern(rng, max_edges=5)
-            emb = temporal_subgraph_test(p, p)
+            emb = sequence_subgraph_test(p, p)
             assert emb is not None
             assert emb.nodes == tuple(range(p.n_nodes))
 
@@ -130,7 +125,7 @@ class TestTemporalSubgraphTest:
             p = embedded_pattern(rng, g)
             if p is None:
                 continue
-            emb = temporal_subgraph_test(p, g)
+            emb = sequence_subgraph_test(p, g)
             assert emb is not None
             assert all(a < b for a, b in zip(emb.times, emb.times[1:]))
             found += 1
@@ -152,7 +147,7 @@ class TestTemporalSubgraphTest:
     def test_matches_backtracking_oracle(self):
         positives = 0
         for p, g in self._verdict_corpus(31, 500):
-            fast = temporal_subgraph_test(p, g)
+            fast = sequence_subgraph_test(p, g)
             slow = oracle_subgraph_test(p, g)
             assert (fast is None) == (slow is None), (p.text(), g.labels, g.srcs, g.dsts, g.timestamps)
             if fast is not None:
@@ -168,7 +163,7 @@ class TestTemporalSubgraphTest:
             for a, b, c in product([False, True], repeat=3)
         ]
         for p, g in pairs:
-            verdicts = {temporal_subgraph_test(p, g, opts) is None for opts in combos}
+            verdicts = {sequence_subgraph_test(p, g, opts) is None for opts in combos}
             assert len(verdicts) == 1
 
     def test_label_precheck_failure_implies_no_match(self):
@@ -181,12 +176,23 @@ class TestTemporalSubgraphTest:
             if not is_subsequence(
                 [lab for _, lab in p_nsq.entries], [lab for _, lab in g_enh.entries]
             ):
-                assert temporal_subgraph_test(p, g) is None
+                assert sequence_subgraph_test(p, g) is None
 
     def test_pattern_larger_than_graph(self):
         p = canonical_pattern(["A", "B", "C"], [(0, 1, 1), (1, 2, 2)])
         g = validate("g", ["A", "B"], [(0, 1, 5)])
-        assert temporal_subgraph_test(p, g) is None
+        assert sequence_subgraph_test(p, g) is None
+
+
+def _parent_first_match(p, g):
+    """First match in g of p without its last edge (the empty match for a one-edge p), or None."""
+    if p.n_edges == 1:
+        return Embedding((), ())
+    edges = list(zip(p.srcs, p.dsts, p.timestamps))[:-1]
+    n_nodes = 1 + max(max(s, d) for s, d, _ in edges)
+    parent = canonical_pattern(p.labels[:n_nodes], edges)
+    first = find_embeddings(parent, g, limit=1)
+    return first[0] if first else None
 
 
 class TestFindEmbeddings:
@@ -234,9 +240,11 @@ class TestFindEmbeddings:
             assert len(got) == min(limit, len(every)) and set(got) <= every
 
     def test_first_match_existence_agrees_with_subgraph_test(self):
-        # The miner answers "does p occur in g?" for negatives with the first
-        # match of the indexed search; it must give the sequence-based test's
-        # and the oracle's verdict, also on graphs with self-loops.
+        # The miner answers "does p occur in g?" with temporal_subgraph_test,
+        # the first match of the indexed search, found from scratch or by
+        # extending the first match of p's parent (p without its last edge);
+        # it must give the sequence-based test's and the oracle's verdict,
+        # also on graphs with self-loops.
         rng = random.Random(44)
         found = 0
         for case in range(500):
@@ -249,8 +257,14 @@ class TestFindEmbeddings:
                 g = random_graph(rng, max_nodes=6, max_edges=10)
                 p = embedded_pattern(rng, g, max_edges=4) if rng.random() < 0.5 else None
                 p = p or random_pattern(rng, max_edges=4)
-            exists = bool(find_embeddings(p, g, limit=1))
-            assert exists == (temporal_subgraph_test(p, g) is not None)
+            first = find_embeddings(p, g, limit=1)
+            first = first[0] if first else None
+            exists = first is not None
+            assert temporal_subgraph_test(p, g) == first
+            prefix = _parent_first_match(p, g)
+            if prefix is not None:
+                assert temporal_subgraph_test(p, g, prefix) == first
+            assert exists == (sequence_subgraph_test(p, g) is not None)
             assert exists == (oracle_subgraph_test(p, g) is not None)
             found += exists
         assert 0 < found < 500
