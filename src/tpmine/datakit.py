@@ -132,24 +132,11 @@ def _parse_lines(lines: list[str], first: int, graphs: list[tuple[str, TemporalG
     role = ""
     labels: list[str] = []
     srcs, dsts, ts = [], [], []  # edge columns, in file order
-    checked = 0  # edges of the current graph already checked against its declared nodes
     start_line = 0
-
-    def check_endpoints():
-        """Edges not yet checked must name nodes declared before them, at their own 'e' line."""
-        nonlocal checked
-        n, s, d = len(labels), srcs[checked:], dsts[checked:]
-        if s and (min(s) < 0 or min(d) < 0 or max(s) >= n or max(d) >= n):
-            k = checked + next(k for k, (a, b) in enumerate(zip(s, d)) if not (0 <= a < n and 0 <= b < n))
-            e_lines = [first + i for i in range(start_line - first + 1, len(lines))
-                       if lines[i].split()[:1] == ["e"]]
-            raise ParseError(f"edge endpoint outside declared nodes 0..{n - 1}", e_lines[k])
-        checked = len(srcs)
 
     def flush(line: int):
         if gid is None:
             return
-        check_endpoints()
         try:
             graphs.append((role, validate_columns(gid, labels, srcs, dsts, ts, tie_policy=tie_policy)))
         except TieRejected as exc:
@@ -158,54 +145,50 @@ def _parse_lines(lines: list[str], first: int, graphs: list[tuple[str, TemporalG
             raise ParseError(f"graph {gid!r} (started line {start_line}): {exc}", line) from exc
 
     lineno = first - 1
-    try:
-        for lineno, raw in enumerate(lines, start=first):
-            parts = raw.split()
-            if not parts:
-                continue
-            tag = parts[0]
-            if tag == "e":
-                if gid is None:
-                    raise ParseError("'e' line before any 'g' line", lineno)
-                if len(parts) != 4:
-                    raise ParseError("expected 'e <src> <dst> <t>'", lineno)
-                try:
-                    src, dst, t = int(parts[1]), int(parts[2]), int(parts[3])
-                except ValueError:
-                    raise ParseError("edge fields must be integers", lineno) from None
-                srcs.append(src)
-                dsts.append(dst)
-                ts.append(t)
-            elif tag == "v":
-                if gid is None:
-                    raise ParseError("'v' line before any 'g' line", lineno)
-                if srcs:
-                    check_endpoints()
-                if len(parts) != 3:
-                    raise ParseError("expected 'v <nodeIndex> <label>'", lineno)
-                try:
-                    idx = int(parts[1])
-                except ValueError:
-                    raise ParseError(f"node index {parts[1]!r} is not an integer", lineno) from None
-                if idx != len(labels):
-                    raise ParseError(f"node index {idx} is not dense (expected {len(labels)})", lineno)
-                labels.append(parts[2])
-            elif tag == "g":
-                flush(lineno - 1)
-                if len(parts) != 3 or parts[2] not in ROLES:
-                    raise ParseError("expected 'g <id> <positive|negative|test>'", lineno)
-                gid, role = parts[1], parts[2]
-                if gid in seen_ids:
-                    raise ParseError(f"duplicate graph id {gid!r}", lineno)
-                seen_ids.add(gid)
-                labels, srcs, dsts, ts = [], [], [], []
-                checked = 0
-                start_line = lineno
-            elif not tag.startswith("#"):
-                raise ParseError(f"unknown record type {tag!r}", lineno)
-    except ParseError:
-        check_endpoints()  # an earlier 'e' line's endpoint error comes first
-        raise
+    for lineno, raw in enumerate(lines, start=first):
+        parts = raw.split()
+        if not parts:
+            continue
+        tag = parts[0]
+        if tag == "e":
+            if gid is None:
+                raise ParseError("'e' line before any 'g' line", lineno)
+            if len(parts) != 4:
+                raise ParseError("expected 'e <src> <dst> <t>'", lineno)
+            try:
+                src, dst, t = int(parts[1]), int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError("edge fields must be integers", lineno) from None
+            n = len(labels)
+            if not (0 <= src < n and 0 <= dst < n):
+                raise ParseError(f"edge endpoint outside declared nodes 0..{n - 1}", lineno)
+            srcs.append(src)
+            dsts.append(dst)
+            ts.append(t)
+        elif tag == "v":
+            if gid is None:
+                raise ParseError("'v' line before any 'g' line", lineno)
+            if len(parts) != 3:
+                raise ParseError("expected 'v <nodeIndex> <label>'", lineno)
+            try:
+                idx = int(parts[1])
+            except ValueError:
+                raise ParseError(f"node index {parts[1]!r} is not an integer", lineno) from None
+            if idx != len(labels):
+                raise ParseError(f"node index {idx} is not dense (expected {len(labels)})", lineno)
+            labels.append(parts[2])
+        elif tag == "g":
+            flush(lineno - 1)
+            if len(parts) != 3 or parts[2] not in ROLES:
+                raise ParseError("expected 'g <id> <positive|negative|test>'", lineno)
+            gid, role = parts[1], parts[2]
+            if gid in seen_ids:
+                raise ParseError(f"duplicate graph id {gid!r}", lineno)
+            seen_ids.add(gid)
+            labels, srcs, dsts, ts = [], [], [], []
+            start_line = lineno
+        elif not tag.startswith("#"):
+            raise ParseError(f"unknown record type {tag!r}", lineno)
     flush(lineno)
 
 
@@ -349,9 +332,7 @@ class SyntheticDataset:
     test_graph: TemporalGraph
     truth: GroundTruth
     planted: TemporalPattern
-    positive_intervals: list[tuple[int, int]]
     spec: SyntheticSpec
-    seed: int
 
 
 def _zipf_cum_weights(n: int, s: float) -> list[float]:
@@ -406,7 +387,7 @@ def _assemble_graph(
     alphabet: Sequence[str],
     cum_weights: Sequence[float],
     instances: Sequence[TemporalPattern],
-) -> tuple[TemporalGraph, list[tuple[int, int]]]:
+) -> TemporalGraph:
     """Background edges plus embedded instances, merged into one time line.
 
     Every edge gets a random sort key; an instance's edges get sorted keys so
@@ -414,28 +395,23 @@ def _assemble_graph(
     random small steps, keeping the total order strict.
     """
     node_labels = rng.choices(alphabet, cum_weights=cum_weights, k=spec.nodes)
-    stream: list[tuple[float, int, int, int]] = []
+    stream: list[tuple[float, int, int]] = []
     for _ in range(spec.edges):
         u, v = _distinct_pair(rng, spec.nodes)
-        stream.append((rng.random(), u, v, -1))
-    for tag, inst in enumerate(instances):
+        stream.append((rng.random(), u, v))
+    for inst in instances:
         base = len(node_labels)
         node_labels.extend(inst.labels)
         keys = sorted(rng.random() for _ in range(inst.n_edges))
         for src, dst, key in zip(inst.srcs, inst.dsts, keys):
-            stream.append((key, base + src, base + dst, tag))
+            stream.append((key, base + src, base + dst))
     stream.sort(key=itemgetter(0))
     t = 1 + _randbelow(rng, 5)
     edges = []
-    spans: dict[int, list[int]] = {}
-    for _, u, v, tag in stream:
+    for _, u, v in stream:
         edges.append((u, v, t))
-        if tag >= 0:
-            spans.setdefault(tag, []).append(t)
         t += 1 + _randbelow(rng, 3)
-    graph = validate(gid, node_labels, edges)
-    intervals = [(min(spans[tag]), max(spans[tag])) for tag in sorted(spans)]
-    return graph, intervals
+    return validate(gid, node_labels, edges)
 
 
 def _assemble_test_graph(
@@ -540,28 +516,13 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> SyntheticDataset:
         # Each recurring background activity shows up at most once per graph.
         return [t for t in templates if rng.random() < spec.template_presence]
 
-    positives = []
-    positive_intervals = []
-    for i in range(spec.n_positive):
-        instances = noise_templates() + [planted]
-        g, intervals = _assemble_graph(rng, f"pos-{i:04d}", spec, alphabet, cum_weights, instances)
-        positives.append(g)
-        positive_intervals.append(intervals[-1])
-    negatives = []
-    for i in range(spec.n_negative):
-        g, _ = _assemble_graph(rng, f"neg-{i:04d}", spec, alphabet, cum_weights, noise_templates())
-        negatives.append(g)
+    positives = [_assemble_graph(rng, f"pos-{i:04d}", spec, alphabet, cum_weights, noise_templates() + [planted])
+                 for i in range(spec.n_positive)]
+    negatives = [_assemble_graph(rng, f"neg-{i:04d}", spec, alphabet, cum_weights, noise_templates())
+                 for i in range(spec.n_negative)]
     test_graph, truth = _assemble_test_graph(rng, spec, alphabet, cum_weights, planted, templates)
-    return SyntheticDataset(
-        positives=positives,
-        negatives=negatives,
-        test_graph=test_graph,
-        truth=truth,
-        planted=planted,
-        positive_intervals=positive_intervals,
-        spec=spec,
-        seed=seed,
-    )
+    return SyntheticDataset(positives=positives, negatives=negatives, test_graph=test_graph, truth=truth,
+                            planted=planted, spec=spec)
 
 
 # ---------------------------------------------------------------------------

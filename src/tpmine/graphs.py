@@ -1,7 +1,8 @@
 """Core temporal graph model.
 
-A temporal graph is a labeled directed multigraph whose edges carry
-distinct, totally ordered integer timestamps.  A temporal pattern is a
+A temporal graph is a labeled directed multigraph whose edges join two
+distinct nodes (no self-loops) and carry distinct, totally ordered integer
+timestamps.  A temporal pattern is a
 temporal graph whose timestamps are exactly 1..|E|; patterns are the unit
 of search in the miner.  An embedding is one concrete match of a pattern
 inside a data graph: an injective node map plus an order-preserving
@@ -14,7 +15,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, islice
+from itertools import accumulate, chain, islice
 from operator import eq, lt
 from typing import Iterable, Mapping, Sequence
 
@@ -70,7 +71,8 @@ class TemporalGraph:
 
     Nodes are dense integer indices 0..n-1; ``labels[i]`` is the label of node
     i.  Edge k runs from ``srcs[k]`` to ``dsts[k]`` at ``timestamps[k]``, in strictly
-    increasing time: tuples of ints, which the garbage collector does not track.
+    increasing time and never from a node to itself: tuples of ints, which the garbage
+    collector does not track.
     Instances are immutable and safe to share between threads.  Derived structures are built
     lazily and cached, each index column under its own key as its own flat tuple of ints: the
     cyclic collector untracks a tuple only once its items are untracked, so one collection
@@ -80,7 +82,8 @@ class TemporalGraph:
     __slots__ = ("id", "labels", "srcs", "dsts", "timestamps", "_cache")
 
     def __init__(self, graph_id: str, labels: Sequence[str], srcs: tuple, dsts: tuple, timestamps: tuple):
-        """Unchecked: the columns must already be in strictly increasing time order (see ``validate``)."""
+        """Unchecked: the columns must already be in strictly increasing time order, with no
+        self-loops (see ``validate``)."""
         self.id, self.labels, self._cache = graph_id, tuple(map(sys.intern, labels)), {}
         self.srcs, self.dsts, self.timestamps = srcs, dsts, timestamps
 
@@ -117,15 +120,12 @@ class TemporalGraph:
         return positions, 0, bisect_right(positions, after, offsets[v], hi), hi
 
     def incident(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per node id, the positions of its non-loop edges in time order, as CSR groups (cached flat)."""
+        """Per node id, the positions of its edges in time order, as CSR groups (cached flat)."""
         c = self._cache
         if "incident_positions" not in c:
-            n = len(self.labels)
-            ends = list(chain.from_iterable(zip(self.srcs, self.dsts)))  # edge p's endpoints at 2p, 2p + 1
-            for p in compress(count(), map(eq, self.srcs, self.dsts)):
-                ends[2 * p] = ends[2 * p + 1] = n  # a self-loop goes to node n, whose group is cut off
-            order, c["incident_offsets"] = _groups(ends, n)
-            c["incident_positions"] = tuple([i >> 1 for i in order[:c["incident_offsets"][n]]])
+            ends = tuple(chain.from_iterable(zip(self.srcs, self.dsts)))  # edge p's endpoints at 2p, 2p + 1
+            order, c["incident_offsets"] = _groups(ends, len(self.labels))
+            c["incident_positions"] = tuple([i >> 1 for i in order])
         return c["incident_positions"], c["incident_offsets"]
 
     def last_label_positions(self) -> dict[str, int]:
@@ -237,14 +237,13 @@ def ordered_columns(srcs: Sequence[int], dsts: Sequence[int], timestamps: Sequen
 
 
 def validate_columns(graph_id: str, labels: Sequence[str], srcs: Sequence[int], dsts: Sequence[int],
-                     timestamps: Sequence[int], allow_self_loops: bool = False,
-                     tie_policy: str = "reject") -> TemporalGraph:
+                     timestamps: Sequence[int], tie_policy: str = "reject") -> TemporalGraph:
     """A validated TemporalGraph from node labels and edge columns in any time order.
 
     Timestamps are range-checked as given, before ties are sequenced; the rest is checked
     with builtins after :func:`ordered_columns`, and a per-edge loop runs only to name the
     first offending edge.  Raises GraphError, TieRejected, EmptyLabel, DanglingEndpoint or
-    SelfLoop (unless allow_self_loops)."""
+    SelfLoop."""
     low, high = (min(timestamps), max(timestamps)) if timestamps else (0, 0)
     if low < 0 or high > MAX_TIMESTAMP:
         raise GraphError(f"graph {graph_id}: timestamp {low if low < 0 else high} outside the supported range")
@@ -254,12 +253,12 @@ def validate_columns(graph_id: str, labels: Sequence[str], srcs: Sequence[int], 
     n = len(labels)
     if srcs and (min(srcs) < 0 or min(dsts) < 0 or max(srcs) >= n or max(dsts) >= n
                  or ts[-1] > MAX_TIMESTAMP  # inputOrder can bump a tie past the range
-                 or (not allow_self_loops and any(map(eq, srcs, dsts)))):
+                 or any(map(eq, srcs, dsts))):
         for src, dst, t in zip(srcs, dsts, ts):
             if not (0 <= src < n) or not (0 <= dst < n):
                 raise DanglingEndpoint(
                     f"graph {graph_id}: edge ({src},{dst},{t}) has an endpoint outside 0..{n - 1}")
-            if src == dst and not allow_self_loops:
+            if src == dst:
                 raise SelfLoop(f"graph {graph_id}: self-loop on node {src} at t={t}")
             if not (0 <= t <= MAX_TIMESTAMP):
                 raise GraphError(f"graph {graph_id}: timestamp {t} outside the supported range")
@@ -270,12 +269,11 @@ def validate(
     graph_id: str,
     labels: Sequence[str],
     edges: Iterable[tuple[int, int, int]],
-    allow_self_loops: bool = False,
 ) -> TemporalGraph:
     """Build a validated TemporalGraph from raw node labels and (src, dst, t) triples, as
     :func:`validate_columns` does (TieRejected is a DuplicateTimestamp)."""
     srcs, dsts, ts = tuple(zip(*edges)) or ((), (), ())
-    return validate_columns(graph_id, list(labels), srcs, dsts, ts, allow_self_loops)
+    return validate_columns(graph_id, list(labels), srcs, dsts, ts)
 
 
 def is_t_connected(g: TemporalGraph) -> bool:
@@ -319,8 +317,9 @@ def canonical_pattern(
     """Re-map an edge list with distinct timestamps into canonical pattern form.
 
     Timestamps become 1..|E| preserving order; node indices are compacted in
-    first-visit order under the timestamp traversal.  With strict=True the
-    result must be T-connected (NotTConnected otherwise).
+    first-visit order under the timestamp traversal.  A self-loop edge raises
+    SelfLoop; with strict=True the result must be T-connected (NotTConnected
+    otherwise).
     """
     if not isinstance(labels, Mapping):
         labels = {i: lab for i, lab in enumerate(labels)}
@@ -341,7 +340,9 @@ def canonical_pattern(
         return remap[node]
 
     srcs, dsts = [], []
-    for src, dst, _ in ordered:
+    for src, dst, t in ordered:
+        if src == dst:
+            raise SelfLoop(f"self-loop on node {src} at t={t}")
         srcs.append(visit(src))
         dsts.append(visit(dst))
     pattern = TemporalPattern(graph_id, new_labels, tuple(srcs), tuple(dsts), tuple(range(1, len(srcs) + 1)))

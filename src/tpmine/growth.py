@@ -8,8 +8,8 @@ forward (new destination node), backward (new source node), and inward (both
 endpoints already present; this is what admits multi-edges).
 
 Children are read off the embeddings of the current pattern, so every
-child is realizable and has support.  Self-loop data edges never grow a
-pattern: patterns model pairwise interactions and exclude self-loops.
+child is realizable and has support.  Data graphs hold no self-loops (see
+``graphs.validate``), so no grown pattern has one.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def expand(
 
     Each data edge after a match's last edge and touching its image, read
     from the graph's incident index, is classified once by which endpoints
-    the match maps; the empty pattern's seeds are every non-loop edge.  One
+    the match maps; the empty pattern's seeds are every edge.  One
     parent's children for one growth step come from one index group in edge
     order, as a plain scan would give them; per graph and step the first
     ``cap`` children are kept.  A step is bucketed under the tuple
@@ -97,8 +97,7 @@ def expand(
             if not nodes:
                 for pos in range(start, len(srcs)):
                     src, dst = srcs[pos], dsts[pos]
-                    if src != dst:
-                        kids.setdefault((0, -1, -1, labels[src], labels[dst]), []).append(((src, dst), pos))
+                    kids.setdefault((0, -1, -1, labels[src], labels[dst]), []).append(((src, dst), pos))
                 continue
             inverse = {dn: i for i, dn in enumerate(nodes)}
             for i, v in enumerate(nodes):

@@ -86,7 +86,7 @@ def find_instances(
     """Distinct matches of one query in the test graph, as time-stamped instances.
 
     ``window`` is the maximum instance duration in ticks (last - first edge
-    time); None or 0 means no bound.  ``limit`` keeps the first ``limit``
+    time), positive; None means no bound.  ``limit`` keeps the first ``limit``
     matches in the chronological order of ``find_embeddings``.  Results are
     ordered by interval, then node image, then edge times.
     """

@@ -6,7 +6,9 @@ per-graph edge index the node mapping so far allows (after Mackey et al.,
 arXiv:1801.08098).  ``find_embeddings`` enumerates matches in chronological
 order, ``first_extension`` extends a known match of a pattern's first edges
 by one edge, and ``temporal_subgraph_test`` combines the two into the first
-match that decides whether a pattern occurs in a graph.
+match that decides whether a pattern occurs in a graph.  Graphs and patterns
+hold no self-loops (``validate`` and ``canonical_pattern`` refuse them), so an
+edge's two endpoints always bind two distinct nodes.
 """
 
 from __future__ import annotations
@@ -27,19 +29,15 @@ def _fitting_edges(g: TemporalGraph, plabels: Sequence[str], ps: int, pd: int, f
         cands, base, lo, hi = g.edge_range(ds, dd, after)
     else:
         cands, base, lo, hi = g.label_pair_range(plabels[ps], plabels[pd], after)
-    loop = ps == pd
-    check_dst = dd < 0 and not loop
     srcs, dsts, times, glabels = g.srcs, g.dsts, g.timestamps, g.labels
     for i in range(lo, hi):
         pos = cands[i] - base
         if times[pos] > horizon:
             return
         src, dst = srcs[pos], dsts[pos]
-        if (src == dst) != loop:
-            continue
         if ds < 0 and (src in fwd or glabels[src] != plabels[ps]):
             continue
-        if check_dst and (dst in fwd or glabels[dst] != plabels[pd]):
+        if dd < 0 and (dst in fwd or glabels[dst] != plabels[pd]):
             continue
         yield pos
 
@@ -55,13 +53,13 @@ def find_embeddings(
     Pattern edges are bound in time order, each to a later data edge taken
     from the tightest index the node mapping so far allows (the node pair,
     one mapped endpoint, or the label pair), starting past the previous
-    edge by bisection.  ``window`` bounds a match's duration, last minus
-    first edge time (None or 0: no bound).  Matches come out in
-    chronological order of their edge positions (by first edge, then
-    second, ...), and ``limit`` keeps the first ``limit`` of them.
+    edge by bisection.  ``window``, a positive number of ticks or None (no
+    bound), bounds a match's duration, last minus first edge time.  Matches
+    come out in chronological order of their edge positions (by first edge,
+    then second, ...), and ``limit`` keeps the first ``limit`` of them.
     """
-    if window is not None and window < 0:
-        raise ValueError("window must be a non-negative number of ticks")
+    if window is not None and window < 1:
+        raise ValueError(f"window must be positive, got {window}")
     if limit is not None and limit < 1:
         return []
     if p.n_nodes == 0:

@@ -78,8 +78,6 @@ def embedded_pattern(
         k = rng.randint(1, min(max_edges, g.n_edges))
         idxs = sorted(rng.sample(range(g.n_edges), k))
         subset = [(g.srcs[i], g.dsts[i], g.timestamps[i]) for i in idxs]
-        if any(s == d for s, d, _ in subset):
-            continue
         try:
             labels = {v: g.labels[v] for s, d, _ in subset for v in (s, d)}
             return canonical_pattern(labels, subset)

@@ -421,19 +421,34 @@ def test_match_malformed_query_is_data_error(workspace, tmp_path, capsys, edges,
     assert len(err) == 1 and err[0].startswith("error: query-0: ") and phrase in err[0], err
 
 
-@pytest.mark.parametrize("command", ["match", "verify"])
-def test_edgeless_query_is_data_error(workspace, tmp_path, capsys, command):
+def _run_on_queries(command, patterns, workspace, tmp_path, capsys):
+    """Exit code and stderr lines of ``match`` or ``verify`` on a report holding ``patterns``."""
     data = workspace / "data"
     report = tmp_path / "report.json"
-    report.write_text(json.dumps({"patterns": [{"edges": [_query_edge(0, "A", 1, "B", 1)]}, {"edges": []}]}))
+    report.write_text(json.dumps({"patterns": patterns}))
     args = {"match": ["--queries", str(report), "--graph", str(data / "test.tg"),
                       "--out", str(tmp_path / "instances.json")],
             "verify": ["--report", str(report), "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg")]}
     capsys.readouterr()
     code = main([command] + args[command])
-    err = capsys.readouterr().err.strip().splitlines()
+    return code, capsys.readouterr().err.strip().splitlines()
+
+
+@pytest.mark.parametrize("command", ["match", "verify"])
+def test_edgeless_query_is_data_error(workspace, tmp_path, capsys, command):
+    patterns = [{"edges": [_query_edge(0, "A", 1, "B", 1)]}, {"edges": []}]
+    code, err = _run_on_queries(command, patterns, workspace, tmp_path, capsys)
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: query-1: ") and "no edges" in err[0], err
+
+
+@pytest.mark.parametrize("command", ["match", "verify"])
+def test_self_loop_query_is_data_error(workspace, tmp_path, capsys, command):
+    patterns = [{"edges": [_query_edge(0, "A", 1, "B", 1), _query_edge(1, "B", 1, "B", 2)]}]
+    code, err = _run_on_queries(command, patterns, workspace, tmp_path, capsys)
+    assert code == 2
+    assert err == ["error: query-0: self-loop on node 1 at t=2"], err
+    assert not (tmp_path / "instances.json").exists()
 
 
 def test_report_queries_are_the_mined_patterns(workspace):

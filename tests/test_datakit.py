@@ -27,7 +27,6 @@ from tpmine.datakit import (
 from tpmine.graphs import MAX_TIMESTAMP, GraphError, canonical_pattern, ordered_columns, validate
 from tpmine.matcher import find_instances
 from tpmine.miner import MiningConfig, mine
-from tpmine.oracle import oracle_subgraph_test
 from tpmine.scoring import GTest, InfoGain, LogRatio
 from tpmine.sequences import find_embeddings
 
@@ -405,14 +404,6 @@ class TestGenerator:
         data = generate_synthetic(spec, seed=11)
         for g in data.positives:
             assert find_embeddings(data.planted, g, limit=1)
-
-    def test_positive_intervals_span_planted_edges(self):
-        spec = preset_spec("small", n_positive=4, n_negative=1, test_episodes=0)
-        data = generate_synthetic(spec, seed=12)
-        for g, (start, end) in zip(data.positives, data.positive_intervals):
-            emb = oracle_subgraph_test(data.planted, g)
-            assert emb is not None
-            assert start <= min(emb.times) and max(emb.times) <= end
 
     def test_truth_intervals_contain_episode_edges(self):
         spec = preset_spec("small", n_positive=1, n_negative=1, test_episodes=6)

@@ -57,10 +57,6 @@ class TestValidate:
         with pytest.raises(SelfLoop):
             validate("g", ["A"], [(0, 0, 1)])
 
-    def test_self_loop_override(self):
-        g = validate("g", ["A"], [(0, 0, 1)], allow_self_loops=True)
-        assert g.n_edges == 1
-
     def test_empty_label(self):
         with pytest.raises(EmptyLabel):
             validate("g", ["A", ""], [(0, 1, 1)])
@@ -203,6 +199,11 @@ class TestCanonicalPattern:
         with pytest.raises(DuplicateTimestamp):
             canonical_pattern(["A", "B"], [(0, 1, 1), (1, 0, 1)])
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_self_loop_rejected(self, strict):
+        with pytest.raises(SelfLoop, match="self-loop on node 1 at t=5"):
+            canonical_pattern(["A", "B"], [(0, 1, 1), (1, 1, 5)], strict=strict)
+
 
 @given(st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=50, deadline=None)
@@ -219,12 +220,12 @@ def test_pattern_key_identifies_equality(seed):
 def test_edge_indexes_hold_position_tuples():
     # Graphs never change, so each cached index is a few flat tuples of ints: CSR groups (edge
     # positions by node id, in time order, then the n + 1 offsets) or sorted codes key * m + pos.
-    g = validate("g", ["A", "B", "A"], [(0, 1, 4), (1, 2, 2), (0, 1, 7), (2, 2, 9)], allow_self_loops=True)
+    g = validate("g", ["A", "B", "A"], [(0, 1, 4), (1, 2, 2), (0, 1, 7), (2, 0, 9)])
     by_src, by_dst, by_pair = edge_columns(g)
     assert by_src == ((1, 2, 0, 3), (0, 2, 3, 4))  # {0: (1, 2), 1: (0,), 2: (3,)}
-    assert by_dst == ((1, 2, 0, 3), (0, 0, 2, 4))  # {1: (1, 2), 2: (0, 3)}
-    # (src * 3 + dst) * 4 + pos: {(0, 1): (1, 2), (1, 2): (0,), (2, 2): (3,)}
-    assert by_pair == (5, 6, 20, 35)
+    assert by_dst == ((3, 1, 2, 0), (0, 1, 3, 4))  # {0: (3,), 1: (1, 2), 2: (0,)}
+    # (src * 3 + dst) * 4 + pos: {(0, 1): (1, 2), (1, 2): (0,), (2, 0): (3,)}
+    assert by_pair == (5, 6, 20, 27)
     ids, codes = g.label_pair_index()
     assert (ids, codes) == ({"A": 0, "B": 1}, (3, 5, 6, 8))  # (id(src label) * 2 + id(dst label)) * 4 + pos
     by_label = {pair: _positions(*g.label_pair_range(*pair))
@@ -232,7 +233,7 @@ def test_edge_indexes_hold_position_tuples():
     assert by_label == {("B", "A"): (0,), ("A", "B"): (1, 2), ("A", "A"): (3,),
                         ("B", "B"): (), ("A", "Z"): ()}
     assert _positions(*g.label_pair_range("A", "B", after=1)) == (2,)
-    assert _positions(*g.edge_range(0, 1, after=1)) == (2,) and _positions(*g.edge_range(-1, 2)) == (0, 3)
+    assert _positions(*g.edge_range(0, 1, after=1)) == (2,) and _positions(*g.edge_range(-1, 0)) == (3,)
     columns = [*by_src, *by_dst, by_pair, codes, *g.incident()]
     assert all(type(col) is tuple and all(type(v) is int for v in col) for col in columns)
     assert all(a is b for a, b in zip(columns, [*by_src, *by_dst, edge_columns(g)[2], g.label_pair_index()[1],
@@ -262,12 +263,11 @@ def test_edge_range_builds_only_the_column_it_reads():
 
 
 def test_incident_index_lists_non_loop_edges_per_node():
-    # Positions in time order per node id; an edge between two nodes is listed under both.
-    g = validate("g", ["A", "B", "A", "C"], [(0, 1, 4), (1, 2, 2), (0, 1, 7), (2, 2, 9), (2, 0, 12)],
-                 allow_self_loops=True)
+    # Positions in time order per node id; every edge is listed under both of its endpoints.
+    g = validate("g", ["A", "B", "A", "C"], [(0, 1, 4), (1, 2, 2), (0, 1, 7), (2, 1, 9), (2, 0, 12)])
     positions, offsets = g.incident()
-    assert offsets == (0, 3, 6, 8, 8)
-    assert [positions[lo:hi] for lo, hi in zip(offsets, offsets[1:])] == [(1, 2, 4), (0, 1, 2), (0, 4), ()]
+    assert offsets == (0, 3, 7, 10, 10)
+    assert [positions[lo:hi] for lo, hi in zip(offsets, offsets[1:])] == [(1, 2, 4), (0, 1, 2, 3), (0, 3, 4), ()]
     assert all(a is b for a, b in zip(g.incident(), (positions, offsets)))
 
 
@@ -285,14 +285,15 @@ def _incident_lookup(g, v, after):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_index_lookups_match_a_filter_over_all_edges(seed):
-    # Every node, node pair and label pair, each past random positions, on random graphs with
-    # self-loops and on one without edges: the lookups give the filter's positions, in order.
+    # Every node, node pair and label pair, each past random positions, on dense random graphs
+    # and on one without edges: the lookups give the filter's positions, in order.
     rng = random.Random(seed)
     graphs = [validate("empty", ["A", "B"], [])]
     for i in range(30):
         n = rng.randint(1, 7)
         edges = [(rng.randrange(n), rng.randrange(n), t) for t in rng.sample(range(60), rng.randint(1, 25))]
-        graphs.append(validate(f"g{i}", [rng.choice("ABC") for _ in range(n)], edges, allow_self_loops=True))
+        edges = [e for e in edges if e[0] != e[1]]  # graphs hold no self-loops
+        graphs.append(validate(f"g{i}", [rng.choice("ABC") for _ in range(n)], edges))
     checked = 0
     for g in graphs:
         m, n, srcs, dsts, labels = g.n_edges, g.n_nodes, g.srcs, g.dsts, g.labels
@@ -303,8 +304,7 @@ def test_index_lookups_match_a_filter_over_all_edges(seed):
             for v in range(n):
                 assert _positions(*g.edge_range(v, -1, after)) == brute(lambda p: srcs[p] == v)
                 assert _positions(*g.edge_range(-1, v, after)) == brute(lambda p: dsts[p] == v)
-                assert _incident_lookup(g, v, after) == brute(
-                    lambda p: srcs[p] != dsts[p] and v in (srcs[p], dsts[p]))
+                assert _incident_lookup(g, v, after) == brute(lambda p: v in (srcs[p], dsts[p]))
                 for w in range(n):
                     got = _positions(*g.edge_range(v, w, after))
                     assert got == brute(lambda p: (srcs[p], dsts[p]) == (v, w))

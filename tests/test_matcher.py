@@ -72,9 +72,10 @@ class TestFindInstances:
         out = find_instances(QUERY, g)
         assert verify_instances(QUERY, g, out)
 
-    def test_zero_window_means_unsharded(self):
+    def test_zero_window_rejected(self):
         g, _ = episodes_graph(2)
-        assert find_instances(QUERY, g, window=0) == find_instances(QUERY, g)
+        with pytest.raises(ValueError, match="window must be positive, got 0"):
+            find_instances(QUERY, g, window=0)
 
     def test_negative_window_rejected(self):
         g, _ = episodes_graph(1)

@@ -205,7 +205,8 @@ class TestNegativeWitness:
             if cases % 3 == 0:
                 n = rng.randint(2, 5)
                 edges = [(rng.randrange(n), rng.randrange(n), t) for t in range(1, rng.randint(2, 12))]
-                g = validate("loops", [rng.choice("AB") for _ in range(n)], edges, allow_self_loops=True)
+                edges = [e for e in edges if e[0] != e[1]]  # graphs hold no self-loops
+                g = validate("dense", [rng.choice("AB") for _ in range(n)], edges)
                 child = embedded_pattern(rng, g, max_edges=3) or random_pattern(rng, max_edges=3, labels="AB")
             else:
                 g = random_graph(rng, max_nodes=6, max_edges=12)
@@ -234,9 +235,7 @@ class TestNegativeWitness:
         for seed in range(4):
             positives, negatives = desk_instance(30 + seed)
             if seed % 2:
-                negatives.append(validate("loops", ["A", "B", "C", "D"],
-                                          [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 4), (0, 1, 5), (1, 2, 6)],
-                                          allow_self_loops=True))
+                negatives.append(validate("chain", ["A", "B", "C", "D"], [(0, 1, 5), (1, 2, 6)]))
             scored = []
 
             def watch(pattern, parent, freq_p, freq_n, action):

@@ -132,8 +132,8 @@ class TestResidualSignature:
                 if rng.random() < 0.3:
                     n = rng.randint(2, 5)
                     edges = [(rng.randrange(n), rng.randrange(n), t) for t in range(1, rng.randint(2, 10))]
-                    graphs.append(validate(f"l{i}", [rng.choice("ABCD") for _ in range(n)], edges,
-                                           allow_self_loops=True))
+                    edges = [e for e in edges if e[0] != e[1]]  # graphs hold no self-loops
+                    graphs.append(validate(f"l{i}", [rng.choice("ABCD") for _ in range(n)], edges))
                 else:
                     graphs.append(random_graph(rng, max_nodes=6, max_edges=10, graph_id=f"g{i}"))
             p = embedded_pattern(rng, graphs[0], max_edges=3)
