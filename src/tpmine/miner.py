@@ -27,7 +27,6 @@ from .graphs import Embedding, TemporalGraph, TemporalPattern
 from .growth import EmbeddingTable, empty_pattern, empty_table, expand, table_entries
 from .pruning import (
     PatternRegistry,
-    RegistryEntry,
     ResidualSignature,
     residual_signature,
     score_upper_bound,
@@ -183,27 +182,23 @@ class _Session:
             if freq_p >= self.cfg.min_freq_p:
                 yield child, child_table, freq_p
 
-    def neg_signature(self, pattern: TemporalPattern, neg_support: Collection[str]) -> ResidualSignature:
-        """Full negative-side signature, enumerated on demand."""
+    def neg_signature(self, pattern: TemporalPattern,
+                      support: Optional[Collection[str]] = None) -> ResidualSignature:
+        """Full negative-side signature over the negative graphs whose ids are in ``support``, or
+        that hold the pattern by a first-match test when it is None; enumerated on demand, and in
+        the order of the negative set whatever the order of ``support``."""
+        if support is None:
+            support = {g.id for g in self.negatives if self.first_match(pattern, g) is not None}
+        cap = self.cfg.embedding_cap
         entries = {}
         truncated = set()
-        for gid in neg_support:
-            g = self.neg_by_id[gid]
-            embs = find_embeddings(pattern, g, limit=self.cfg.embedding_cap)
-            if len(embs) >= self.cfg.embedding_cap:
-                truncated.add(gid)
-            entries[gid] = table_entries(g, embs)
-        table = EmbeddingTable(entries, frozenset(truncated))
-        return residual_signature(table, [self.neg_by_id[gid] for gid in neg_support])
-
-    def entry_neg_signature(self, entry: RegistryEntry) -> ResidualSignature:
-        if entry.sig_n is not None:
-            return entry.sig_n
-        if entry.neg_support is None:
-            support = [g.id for g in self.negatives if self.first_match(entry.pattern, g) is not None]
-            entry.neg_support = frozenset(support)
-        entry.sig_n = self.neg_signature(entry.pattern, sorted(entry.neg_support))
-        return entry.sig_n
+        for g in self.negatives:
+            if g.id in support:
+                embs = find_embeddings(pattern, g, limit=cap)
+                if len(embs) >= cap:
+                    truncated.add(g.id)
+                entries[g.id] = table_entries(g, embs)
+        return residual_signature(EmbeddingTable(entries, frozenset(truncated)), self.negatives)
 
 
 def mine(
@@ -257,8 +252,7 @@ def mine(
             session.stats.bound_prune_fires += 1
             if on_visit:
                 on_visit(pattern, parent, freq_p, None, "bound_pruned")
-            if entry:
-                session.registry.finalize(entry, bound)
+            entry.finalize(bound)
             # the frequency bound dominates descendants at every depth
             return bound, pattern.n_edges
 
@@ -268,8 +262,7 @@ def mine(
                 session.stats.subgraph_prune_fires += 1
                 if on_visit:
                     on_visit(pattern, parent, freq_p, None, "subgraph_pruned")
-                if entry:
-                    session.registry.finalize(entry, hit.branch_max)
+                entry.finalize(hit.branch_max)
                 # the certifying branch is depth-complete, so its maximum
                 # covers this branch at every depth too
                 return hit.branch_max, pattern.n_edges
@@ -281,25 +274,17 @@ def mine(
         freq_n = len(neg_support) / n_neg
         s = fn.score(freq_p, freq_n)
         session.record_score(pattern, s, freq_p, freq_n)
-        if entry:
-            entry.neg_support = frozenset(neg_support)
+        entry.neg_support = frozenset(neg_support)
         if on_visit:
             on_visit(pattern, parent, freq_p, freq_n, "scored")
 
         if cfg.use_supergraph_prune:
-            hit = supergraph_prune_check(
-                pattern,
-                sig_p,
-                lambda: session.neg_signature(pattern, neg_support),
-                session.registry,
-                session.fstar(),
-                session.entry_neg_signature,
-            )
+            hit = supergraph_prune_check(pattern, sig_p, neg_support, session.registry, session.fstar(),
+                                         session.neg_signature)
             if hit is not None:
                 session.stats.supergraph_prune_fires += 1
                 cert = max(s, hit.branch_max)
-                if entry:
-                    session.registry.finalize(entry, cert)
+                entry.finalize(cert, depth_complete=hit.depth_complete)
                 # this branch's deep counterparts are smaller patterns in the
                 # certifying branch; coverage beyond the cap is only known
                 # when that branch was itself depth-complete
@@ -313,8 +298,7 @@ def mine(
                 child_max, child_reach = visit(child, child_table, pattern, neg_support, child_freq_p)
                 branch_max = max(branch_max, child_max)
                 reach = max(reach, child_reach)
-        if entry:
-            session.registry.finalize(entry, branch_max, depth_complete=reach < cfg.max_edges)
+        entry.finalize(branch_max, depth_complete=reach < cfg.max_edges)
         return branch_max, reach
 
     all_negs = {g.id: Embedding((), ()) for g in session.negatives}

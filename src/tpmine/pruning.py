@@ -25,15 +25,18 @@ pattern proves it cannot reach the current score threshold:
   already fully explored pattern with the same node count and identical
   positive and negative residuals.
 
-Both rules consult only registry entries whose subtree finished (entries are
-inserted provisionally at visit and finalized with their branch-maximum
-score at subtree exit), so "largest score in the branch" is well defined.
+Both rules walk one candidate list, ``PatternRegistry.equivalent``: entries
+whose subtree finished (an entry is added at visit and finalizes itself with
+its branch maximum at subtree exit, so "largest score in the branch" is well
+defined) below the threshold, with equivalent positive residuals.  Negative
+signatures list graphs in the order of the negative set for every pattern, so
+no decision depends on how either graph list is ordered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .graphs import TemporalGraph, TemporalPattern
 from .growth import EmbeddingTable
@@ -116,16 +119,27 @@ def score_upper_bound(fn: ScoreFunction, freq_p: float) -> float:
 
 @dataclass
 class RegistryEntry:
+    """An explored pattern; ``branch_max`` is None until its subtree finishes, and ``sig_n``
+    until the supergraph rule first reads it."""
+
     pattern: TemporalPattern
-    n_nodes: int
-    n_edges: int
-    label_multiset: tuple[str, ...]
     sig_p: ResidualSignature
     neg_support: Optional[frozenset[str]] = None
     sig_n: Optional[ResidualSignature] = None
-    branch_max: float = float("-inf")
-    finalized: bool = False
+    branch_max: Optional[float] = None
     depth_complete: bool = False
+
+    def finalize(self, branch_max: float, depth_complete: bool = True) -> None:
+        """Close the entry's subtree.
+
+        ``depth_complete`` records that the subtree never touched the search's
+        edge cap, i.e. the explored branch equals the unbounded branch.  Only
+        such entries may certify subgraph pruning: the patterns a pruned
+        branch corresponds to are LARGER than their counterparts, so a branch
+        cut off by the cap says nothing about them.
+        """
+        self.branch_max = branch_max
+        self.depth_complete = depth_complete
 
 
 class PatternRegistry:
@@ -134,47 +148,38 @@ class PatternRegistry:
     Bucketing by I never changes a pruning decision (equal I is a necessary
     condition of residual equivalence, which both rules then test on the
     full residual multisets); it only narrows the candidate list.  Once
-    ``max_entries`` is reached no further entries are recorded: pruning
-    power degrades but decisions stay sound.  ``residual_tests`` counts the
-    residual equivalence tests the prune checks run against its entries.
+    ``max_entries`` are recorded, ``add`` still returns an entry but files
+    it in no bucket: pruning power degrades but decisions stay sound.
+    ``residual_tests`` counts the residual equivalence tests the prune
+    checks run against its entries.
     """
 
     max_entries = 2**20
 
     def __init__(self):
-        self.entries: list[RegistryEntry] = []
         self._by_ip: dict[int, list[RegistryEntry]] = {}
+        self._recorded = 0
         self.residual_tests = 0
 
-    def add(self, pattern: TemporalPattern, sig_p: ResidualSignature) -> Optional[RegistryEntry]:
-        if len(self.entries) >= self.max_entries:
-            return None
-        entry = RegistryEntry(
-            pattern=pattern,
-            n_nodes=pattern.n_nodes,
-            n_edges=pattern.n_edges,
-            label_multiset=pattern.label_multiset(),
-            sig_p=sig_p,
-        )
-        self.entries.append(entry)
-        self._by_ip.setdefault(sig_p.i_value, []).append(entry)
+    def add(self, pattern: TemporalPattern, sig_p: ResidualSignature) -> RegistryEntry:
+        entry = RegistryEntry(pattern, sig_p)
+        if self._recorded < self.max_entries:
+            self._recorded += 1
+            self._by_ip.setdefault(sig_p.i_value, []).append(entry)
         return entry
 
-    def finalize(self, entry: RegistryEntry, branch_max: float, depth_complete: bool = True) -> None:
-        """Close an entry's subtree.
-
-        ``depth_complete`` records that the subtree never touched the search's
-        edge cap, i.e. the explored branch equals the unbounded branch.  Only
-        such entries may certify subgraph pruning: the patterns a pruned
-        branch corresponds to are LARGER than their counterparts, so a branch
-        cut off by the cap says nothing about them.
-        """
-        entry.branch_max = branch_max
-        entry.finalized = True
-        entry.depth_complete = depth_complete
-
-    def candidates(self, i_value: int) -> Iterable[RegistryEntry]:
-        return self._by_ip.get(i_value, ())
+    def equivalent(self, sig: ResidualSignature, fstar: float,
+                   fits: Callable[[RegistryEntry], bool]) -> Iterator[RegistryEntry]:
+        """Finished entries below fstar that pass ``fits`` and whose positive residuals are
+        equivalent to ``sig`` (one residual test each), in insertion order; none if sig is inexact."""
+        if not sig.exact:
+            return
+        for entry in self._by_ip.get(sig.i_value, ()):
+            if entry.branch_max is None or not entry.branch_max < fstar or not fits(entry):
+                continue
+            self.residual_tests += 1
+            if signatures_equivalent(sig, entry.sig_p):
+                yield entry
 
 
 def _label_multiset_contains(big: tuple[str, ...], small: tuple[str, ...]) -> bool:
@@ -204,75 +209,64 @@ def subgraph_prune_check(
     equivalence is what guarantees the mapping is unique; if several
     mappings survive anyway, the rule is skipped for that candidate.
     """
-    if not sig2p.exact:
-        return None
-    for entry in registry.candidates(sig2p.i_value):
-        if not entry.finalized or not entry.depth_complete or not entry.branch_max < fstar:
-            continue
-        if entry.n_edges < g2.n_edges or entry.n_nodes < g2.n_nodes:
-            continue
-        if not _label_multiset_contains(entry.label_multiset, g2.label_multiset()):
-            continue
-        registry.residual_tests += 1
-        if not signatures_equivalent(sig2p, entry.sig_p):
-            continue
+    g2_labels = g2.label_multiset()
+
+    def fits(entry: RegistryEntry) -> bool:
+        g1 = entry.pattern
+        return (entry.depth_complete and g1.n_edges >= g2.n_edges and g1.n_nodes >= g2.n_nodes
+                and _label_multiset_contains(g1.label_multiset(), g2_labels))
+
+    for entry in registry.equivalent(sig2p, fstar, fits):
         node_maps = {emb.nodes for emb in find_embeddings(g2, entry.pattern)}
         if len(node_maps) != 1:
             continue
         image = set(next(iter(node_maps)))
-        surplus_labels = {
-            entry.pattern.labels[v] for v in range(entry.n_nodes) if v not in image
-        }
-        if sig2p.residual_has_label(surplus_labels):
-            continue
-        return entry
+        labels = entry.pattern.labels
+        if not sig2p.residual_has_label({labels[v] for v in range(len(labels)) if v not in image}):
+            return entry
     return None
 
 
 def supergraph_prune_check(
     g2: TemporalPattern,
     sig2p: ResidualSignature,
-    sig2n_lazy: Callable[[], ResidualSignature],
+    neg_support: Collection[str],
     registry: PatternRegistry,
     fstar: float,
-    sig_n_of: Callable[[RegistryEntry], ResidualSignature],
+    neg_signature: Callable[[TemporalPattern, Optional[Collection[str]]], ResidualSignature],
 ) -> Optional[RegistryEntry]:
     """Mirror rule: g2 extends an explored pattern without changing residuals.
 
-    Fires on a finalized entry g1 with branch maximum below fstar such that
+    Fires on a finished entry g1 with branch maximum below fstar such that
     g1 is a temporal subgraph of g2 (``temporal_subgraph_test`` finds a
     first match), node counts match, and both positive and negative
-    residuals are equivalent.  Negative signatures are fetched lazily (first
-    for the candidate, through ``sig_n_of``, then for g2) because negative-side
-    enumeration is the expensive part.  Entries that are ancestors of g2 are
-    never finalized while g2 is open, so a pattern can never be pruned
-    against its own growth path.
+    residuals are equivalent.  ``neg_signature(pattern, support)`` builds a
+    negative signature over the graphs in ``support`` (found by first-match
+    tests when None) only when needed: first for the candidate, cached on
+    the entry, then once for g2, because negative-side enumeration is the
+    expensive part.  Entries that are ancestors of g2 are never finished
+    while g2 is open, so a pattern can never be pruned against its own
+    growth path.
     """
-    if not sig2p.exact:
-        return None
-    sig2n: Optional[ResidualSignature] = None
     g2_labels = g2.label_multiset()
-    for entry in registry.candidates(sig2p.i_value):
-        if not entry.finalized or not entry.branch_max < fstar:
-            continue
-        if entry.n_nodes != g2.n_nodes or entry.n_edges > g2.n_edges:
-            continue
-        if entry.label_multiset != g2_labels:
-            continue
-        registry.residual_tests += 1
-        if not signatures_equivalent(sig2p, entry.sig_p):
-            continue
+
+    def fits(entry: RegistryEntry) -> bool:
+        g1 = entry.pattern
+        return g1.n_nodes == g2.n_nodes and g1.n_edges <= g2.n_edges and g1.label_multiset() == g2_labels
+
+    sig2n: Optional[ResidualSignature] = None
+    for entry in registry.equivalent(sig2p, fstar, fits):
         if temporal_subgraph_test(entry.pattern, g2) is None:
             continue
-        entry_sig_n = sig_n_of(entry)
-        if not entry_sig_n.exact:
+        if entry.sig_n is None:
+            entry.sig_n = neg_signature(entry.pattern, entry.neg_support)
+        if not entry.sig_n.exact:
             continue
         if sig2n is None:
-            sig2n = sig2n_lazy()
+            sig2n = neg_signature(g2, neg_support)
         if not sig2n.exact:
             return None
         registry.residual_tests += 1
-        if not signatures_equivalent(sig2n, entry_sig_n):
-            continue
-        return entry
+        if signatures_equivalent(sig2n, entry.sig_n):
+            return entry
     return None

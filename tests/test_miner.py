@@ -323,18 +323,25 @@ class TestPruningReducesWork:
     def small(self):
         return generate_synthetic(preset_spec("small"), seed=0)
 
-    # (visited, bound fires, subgraph fires, supergraph fires, subgraph tests, residual tests)
-    @pytest.mark.parametrize("cfg, counts", [
-        (MiningConfig(max_edges=6, top_k=5, min_freq_p=0.5), (73, 0, 8, 0, 1912, 8)),
-        (MiningConfig(max_edges=6, top_k=5, min_freq_p=0.5, use_subgraph_prune=False,
-                      use_supergraph_prune=False), (79, 0, 0, 0, 3312, 0)),
-        (MiningConfig(max_edges=4, top_k=5), (5424, 4757, 7, 0, 20470, 243)),
-        (MiningConfig(max_edges=4, top_k=5, embedding_cap=1), (5186, 4537, 7, 0, 140688, 7)),
-    ], ids=["full", "bound-only", "floor0", "floor0-cap1"])
-    def test_work_counters_are_pinned(self, small, cfg, counts):
+    # (visited, bound fires, subgraph fires, supergraph fires, subgraph tests, residual tests) on the
+    # small preset or a desk instance.  The small rows never fire the supergraph rule; the desk rows
+    # do, and desk245 also reads the negative signature of bound- or subgraph-pruned entries, whose
+    # support takes first-match tests.
+    @pytest.mark.parametrize("corpus, cfg, counts", [
+        ("small", MiningConfig(max_edges=6, top_k=5, min_freq_p=0.5), (73, 0, 8, 0, 1912, 8)),
+        ("small", MiningConfig(max_edges=6, top_k=5, min_freq_p=0.5, use_subgraph_prune=False,
+                               use_supergraph_prune=False), (79, 0, 0, 0, 3312, 0)),
+        ("small", MiningConfig(max_edges=4, top_k=5), (5424, 4757, 7, 0, 20470, 243)),
+        ("small", MiningConfig(max_edges=4, top_k=5, embedding_cap=1), (5186, 4537, 7, 0, 140688, 7)),
+        (302, MiningConfig(max_edges=3), (144, 0, 0, 1, 140, 120)),
+        (302, MiningConfig(max_edges=3, top_k=1), (99, 24, 0, 3, 90, 87)),
+        (245, MiningConfig(max_edges=3, top_k=3), (59, 0, 2, 2, 65, 36)),
+    ], ids=["full", "bound-only", "floor0", "floor0-cap1", "desk302", "desk302-top1", "desk245"])
+    def test_work_counters_are_pinned(self, small, corpus, cfg, counts):
         # Every counter is deterministic, and the report carries them: a change that moves one
         # changes the work the search does, not just its speed.
-        s = mine(small.positives, small.negatives, cfg).stats
+        positives, negatives = (small.positives, small.negatives) if corpus == "small" else desk_instance(corpus)
+        s = mine(positives, negatives, cfg).stats
         assert (s.patterns_visited, s.bound_prune_fires, s.subgraph_prune_fires, s.supergraph_prune_fires,
                 s.subiso_tests, s.residual_tests) == counts
 

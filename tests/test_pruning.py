@@ -1,12 +1,15 @@
 """Residual signatures, signature equivalence, and the two branch-pruning rules."""
 
 import dataclasses
+import json
 import math
 import random
 from bisect import bisect_right
 
 import pytest
 
+from tpmine import miner
+from tpmine.datakit import generate_synthetic, preset_spec, result_to_dict
 from tpmine.graphs import canonical_pattern, validate
 from tpmine.growth import EmbeddingTable, empty_table, table_entries
 from tpmine.miner import MiningConfig, mine
@@ -23,7 +26,7 @@ from tpmine.pruning import (
 from tpmine.scoring import LogRatio
 from tpmine.sequences import find_embeddings
 
-from conftest import embedded_pattern, random_graph
+from conftest import desk_instance, embedded_pattern, random_graph
 from oracle_ref import oracle_residual_equal
 
 INF = float("inf")
@@ -32,6 +35,11 @@ INF = float("inf")
 def sig_of(p, graphs) -> ResidualSignature:
     table = EmbeddingTable({g.id: table_entries(g, find_embeddings(p, g)) for g in graphs})
     return residual_signature(table, graphs)
+
+
+def neg_signature_over(neg):
+    """A ``neg_signature`` callback over ``neg`` that finds each pattern's support itself."""
+    return lambda p, support=None: sig_of(p, neg)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -241,7 +249,7 @@ class TestSubgraphPruneCheck:
         g2 = canonical_pattern(["B1", "B2"], [(0, 1, 1)])
         registry = PatternRegistry()
         entry = registry.add(chain, sig_of(chain, pos))
-        registry.finalize(entry, branch_max=0.0)
+        entry.finalize(branch_max=0.0)
         hit = subgraph_prune_check(g2, sig_of(g2, pos), registry, fstar=10.0)
         assert hit is entry
 
@@ -254,7 +262,7 @@ class TestSubgraphPruneCheck:
         g2 = canonical_pattern(["B", "C"], [(0, 1, 1)])
         registry = PatternRegistry()
         entry = registry.add(chain, sig_of(chain, pos))
-        registry.finalize(entry, branch_max=0.0)
+        entry.finalize(branch_max=0.0)
         sig2 = sig_of(g2, pos)
         assert "A" in label_union(sig2)
         assert subgraph_prune_check(g2, sig2, registry, fstar=10.0) is None
@@ -267,7 +275,7 @@ class TestSubgraphPruneCheck:
         entry = registry.add(chain, sig_of(chain, pos))
         sig2 = sig_of(g2, pos)
         assert subgraph_prune_check(g2, sig2, registry, INF) is None  # not finalized
-        registry.finalize(entry, branch_max=5.0)
+        entry.finalize(branch_max=5.0)
         assert subgraph_prune_check(g2, sig2, registry, fstar=5.0) is None  # not strictly below
         assert subgraph_prune_check(g2, sig2, registry, fstar=5.1) is entry
 
@@ -276,7 +284,7 @@ class TestSubgraphPruneCheck:
         chain = canonical_pattern(["B0", "B1", "B2"], [(0, 1, 1), (1, 2, 2)])
         g2 = canonical_pattern(["B1", "B2"], [(0, 1, 1)])
         registry = PatternRegistry()
-        registry.finalize(registry.add(chain, sig_of(chain, pos)), 0.0)
+        registry.add(chain, sig_of(chain, pos)).finalize(0.0)
         sig2 = sig_of(g2, pos)
         inexact = dataclasses.replace(sig2, exact=False)
         assert subgraph_prune_check(g2, inexact, registry, INF) is None
@@ -324,11 +332,9 @@ class TestSupergraphPruneCheck:
         small = canonical_pattern(["B0", "B1"], [(0, 1, 1)])
         big = canonical_pattern(["B0", "B1", "B2"], [(0, 1, 1), (1, 2, 2)])
         registry = PatternRegistry()
-        registry.finalize(registry.add(small, sig_of(small, pos)), 0.0)
-        hit = supergraph_prune_check(
-            big, sig_of(big, pos), lambda: sig_of(big, []), registry, fstar=10.0,
-            sig_n_of=lambda e: sig_of(e.pattern, []),
-        )
+        registry.add(small, sig_of(small, pos)).finalize(0.0)
+        hit = supergraph_prune_check(big, sig_of(big, pos), (), registry, fstar=10.0,
+                                     neg_signature=neg_signature_over([]))
         assert hit is None
 
     def test_true_equivalence_fire(self):
@@ -339,15 +345,9 @@ class TestSupergraphPruneCheck:
         registry = PatternRegistry()
         entry = registry.add(g1, sig_of(g1, pos))
         entry.neg_support = frozenset({"n0"})
-        registry.finalize(entry, branch_max=0.0)
-        hit = supergraph_prune_check(
-            g2,
-            sig_of(g2, pos),
-            lambda: sig_of(g2, neg),
-            registry,
-            fstar=10.0,
-            sig_n_of=lambda e: sig_of(e.pattern, neg),
-        )
+        entry.finalize(branch_max=0.0)
+        hit = supergraph_prune_check(g2, sig_of(g2, pos), {"n0"}, registry, fstar=10.0,
+                                     neg_signature=neg_signature_over(neg))
         assert hit is entry
 
     def test_refuses_integer_sum_collision(self):
@@ -370,13 +370,8 @@ class TestSupergraphPruneCheck:
         registry = PatternRegistry()
         entry = registry.add(g1, s1)
         entry.neg_support = frozenset()
-        registry.finalize(entry, branch_max=0.0)
-        common = dict(
-            sig2n_lazy=lambda: sig_of(g2, neg),
-            registry=registry,
-            fstar=10.0,
-            sig_n_of=lambda e: sig_of(e.pattern, neg),
-        )
+        entry.finalize(branch_max=0.0)
+        common = dict(neg_support=(), registry=registry, fstar=10.0, neg_signature=neg_signature_over(neg))
         assert supergraph_prune_check(g2, s2, **common) is None
         entry.sig_p = s2  # equal profiles: the same entry now certifies
         assert supergraph_prune_check(g2, s2, **common) is entry
@@ -398,11 +393,8 @@ class TestSupergraphPruneCheck:
         registry = PatternRegistry()
         entry = registry.add(g1, s1)
         entry.neg_support = frozenset()
-        registry.finalize(entry, branch_max=0.0)
-        hit = supergraph_prune_check(
-            g2, s2, lambda: sig_of(g2, neg), registry, fstar=10.0,
-            sig_n_of=lambda e: sig_of(e.pattern, neg),
-        )
+        entry.finalize(branch_max=0.0)
+        hit = supergraph_prune_check(g2, s2, (), registry, fstar=10.0, neg_signature=neg_signature_over(neg))
         assert hit is None
 
     def test_mining_fire_preserves_exact_result(self):
@@ -441,14 +433,20 @@ class TestIntegerCollision:
 
 class TestRegistry:
     def test_capacity_stops_inserting(self):
+        # Past the cap, add still hands out an entry to finalize, but no candidate walk finds it.
         pos = [chain_negative()]
         registry = PatternRegistry()
         registry.max_entries = 1
         p1 = canonical_pattern(["B0", "B1"], [(0, 1, 1)])
         p2 = canonical_pattern(["B1", "B2"], [(0, 1, 1)])
-        assert registry.add(p1, sig_of(p1, pos)) is not None
-        assert registry.add(p2, sig_of(p2, pos)) is None
-        assert len(registry.entries) == 1
+        e1 = registry.add(p1, sig_of(p1, pos))
+        e2 = registry.add(p2, sig_of(p2, pos))
+        assert e1 is not None and e2 is not None
+        e1.finalize(0.0)
+        e2.finalize(0.0)
+        assert list(registry.equivalent(sig_of(p1, pos), INF, lambda e: True)) == [e1]
+        assert list(registry.equivalent(sig_of(p2, pos), INF, lambda e: True)) == []
+        assert registry.residual_tests == 1
 
     def test_bucket_filter_is_decision_neutral(self):
         # Same decisions with the I-value bucket index as with a full scan
@@ -457,6 +455,7 @@ class TestRegistry:
         pos = [random_graph(rng, max_nodes=5, max_edges=8, graph_id=f"g{i}") for i in range(3)]
         registry = PatternRegistry()
         patterns = []
+        entries = []
         for _ in range(40):
             g = pos[rng.randrange(len(pos))]
             p = embedded_pattern(rng, g, max_edges=3)
@@ -464,15 +463,14 @@ class TestRegistry:
                 continue
             patterns.append(p)
             entry = registry.add(p, sig_of(p, pos))
-            if entry is not None:
-                registry.finalize(entry, branch_max=rng.uniform(-1, 1))
+            entry.finalize(branch_max=rng.uniform(-1, 1))
+            entries.append(entry)
 
         def exhaustive_subgraph_check(g2, sig2, fstar):
-            for entry in registry.entries:
+            for entry in entries:
                 bucket_match = entry.sig_p.i_value == sig2.i_value
                 full = PatternRegistry()
                 full._by_ip = {sig2.i_value: [entry]} if bucket_match else {}
-                full.entries = [entry]
                 hit = subgraph_prune_check(g2, sig2, full, fstar)
                 if hit is not None:
                     return hit
@@ -483,3 +481,80 @@ class TestRegistry:
             bucketed = subgraph_prune_check(p, sig, registry, fstar=0.5)
             exhaustive = exhaustive_subgraph_check(p, sig, fstar=0.5)
             assert (bucketed is None) == (exhaustive is None)
+
+
+def report(result) -> str:
+    """The whole report a mining run writes, counters included, without its timing field."""
+    doc = result_to_dict(result)
+    del doc["stats"]["wallTime"]
+    return json.dumps(doc, sort_keys=True)
+
+
+def ranking(scored) -> list:
+    return [(sp.pattern.text(), sp.score, sp.freq_p, sp.freq_n, sp.interest) for sp in scored]
+
+
+class TestGraphOrder:
+    def test_supergraph_fire_in_either_negative_order(self):
+        # Two copies of the negative, listed out of id order in the second run.  The candidate's
+        # negative signature and the current pattern's must list the copies in one order, or they
+        # never compare equal.
+        a0 = validate("a0", ["B", "A"], [(0, 1, 1), (1, 0, 2)])
+        cfg = MiningConfig(max_edges=2, top_k=1)
+        reports = []
+        for negatives in ([a0, reversed_pair_negative()], [reversed_pair_negative(), a0]):
+            result = mine([reversed_pair_positive()], negatives, cfg)
+            assert result.stats.supergraph_prune_fires == 1
+            reports.append(report(result))
+        assert reports[0] == reports[1]
+
+    def test_shuffled_graph_lists_leave_the_report_unchanged(self):
+        rng = random.Random(25)
+        cfg = MiningConfig(max_edges=3, top_k=3)
+        fired = 0
+        for seed in range(400):
+            positives, negatives = desk_instance(seed)
+            result = mine(positives, negatives, cfg)
+            rng.shuffle(positives)
+            rng.shuffle(negatives)
+            assert report(mine(positives, negatives, cfg)) == report(result), seed
+            fired += result.stats.supergraph_prune_fires > 0
+        assert fired >= 5
+
+
+class TestFinalizedEntries:
+    def test_supergraph_prune_keeps_its_certificate_depth(self, monkeypatch):
+        # The 3-edge pattern is pruned by the 2-edge entry, whose branch reached the cap; the entry
+        # the prune finalizes must not claim a depth-complete branch either.
+        added = []
+
+        class RecordingRegistry(PatternRegistry):
+            def add(self, pattern, sig_p):
+                added.append(super().add(pattern, sig_p))
+                return added[-1]
+
+        monkeypatch.setattr(miner, "PatternRegistry", RecordingRegistry)
+        positives, negatives = desk_instance(302)
+        result = mine(positives, negatives, MiningConfig(max_edges=3, top_k=1))
+        assert result.stats.supergraph_prune_fires >= 1
+        flags = {e.pattern.text(): e.depth_complete for e in added}
+        assert flags["0:A->1:A@1;0:A->1:A@2"] is False
+        assert flags["0:A->1:A@1;1:A->0:A@2;0:A->1:A@3"] is False
+
+    @pytest.mark.parametrize("cap", [0, 1, 10])
+    def test_full_registry_keeps_the_result(self, monkeypatch, cap):
+        # Past max_entries the registry records nothing more: pruning weakens, the result does not.
+        small = generate_synthetic(preset_spec("small"), seed=0)
+        cases = [((small.positives, small.negatives), MiningConfig(max_edges=6, top_k=5, min_freq_p=0.5))]
+        cases += [(desk_instance(seed), MiningConfig(max_edges=me, top_k=3)) for seed in range(30) for me in (3, 4)]
+        for (positives, negatives), cfg in cases:
+            full = mine(positives, negatives, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(PatternRegistry, "max_entries", cap)
+                capped = mine(positives, negatives, cfg)
+            assert ranking(capped.ranked) == ranking(full.ranked)
+            assert ranking(capped.maximizers) == ranking(full.maximizers)
+            assert capped.stats.subgraph_prune_fires <= full.stats.subgraph_prune_fires
+            assert capped.stats.supergraph_prune_fires <= full.stats.supergraph_prune_fires
+            if cap == 0:
+                assert capped.stats.subgraph_prune_fires == capped.stats.supergraph_prune_fires == 0
