@@ -3,7 +3,9 @@
 Starting from the empty pattern, the search grows one-edge seeds and then
 extends each pattern edge by edge, maintaining the pattern's embeddings in
 the positive graphs incrementally, and its first match in each negative
-graph, which a child extends by its new edge before searching afresh.  Each
+graph as a growth table entry, which ``first_matches`` extends by a child's
+new edge, for all negative graphs of one visit in one batch, before
+searching afresh.  Each
 visited pattern is scored against the negatives with the configured score
 function; three pruning rules (the frequency upper bound, subgraph pruning,
 and supergraph pruning) can each skip a branch without affecting the maximum-score result.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .graphs import Embedding, TemporalGraph, TemporalPattern
-from .growth import EmbeddingTable, empty_pattern, empty_table, expand, table_entries
+from .growth import EmbeddingTable, Entry, empty_pattern, empty_table, expand, table_entries
 from .pruning import (
     PatternRegistry,
     ResidualSignature,
@@ -34,7 +36,7 @@ from .pruning import (
     supergraph_prune_check,
 )
 from .scoring import GTest, InfoGain, InterestModel, LogRatio, ScoreFunction, ScoredPattern, rank
-from .sequences import find_embeddings, temporal_subgraph_test
+from .sequences import find_embeddings, first_matches, temporal_subgraph_test
 
 
 class EmptyDataset(ValueError):
@@ -127,7 +129,6 @@ class _Session:
         self.positives: list[TemporalGraph] = list(positives)
         self.negatives: list[TemporalGraph] = list(negatives)
         self.pos_by_id = {g.id: g for g in self.positives}
-        self.neg_by_id = {g.id: g for g in self.negatives}
         self.cfg = cfg
         self.on_visit = on_visit
         self.stats = MiningStats()
@@ -147,12 +148,10 @@ class _Session:
         elif s > self._heap[0]:
             heapq.heapreplace(self._heap, s)
 
-    def first_match(self, p: TemporalPattern, g: TemporalGraph,
-                    parent_match: Optional[Embedding] = None) -> Optional[Embedding]:
-        """Chronologically first match of p in g, or None, extending ``parent_match`` (the first
-        match of p minus its last edge) when given; counts one subgraph test."""
+    def first_match(self, p: TemporalPattern, g: TemporalGraph) -> Optional[Embedding]:
+        """Chronologically first match of p in g, or None; counts one subgraph test."""
         self.stats.subiso_tests += 1
-        return temporal_subgraph_test(p, g, parent_match)
+        return temporal_subgraph_test(p, g)
 
     def exact_support(self, pattern: TemporalPattern, table: EmbeddingTable) -> int:
         """Number of positive graphs containing the pattern; exact even under truncation.
@@ -231,11 +230,11 @@ def mine(
         pattern: TemporalPattern,
         table: EmbeddingTable,
         parent: Optional[TemporalPattern],
-        parent_neg_support: dict[str, Embedding],
+        parent_matches: list[tuple[TemporalGraph, Entry]],
         freq_p: float,
     ) -> tuple[float, int]:
-        """Explore one pattern; ``parent_neg_support`` maps each negative graph
-        holding the parent to the parent's first match there.
+        """Explore one pattern; ``parent_matches`` pairs each negative graph
+        holding the parent with the parent's first match there.
 
         Returns (branch score bound, reach): the bound holds for every
         pattern in the branch at any depth, and reach is the largest edge
@@ -267,14 +266,13 @@ def mine(
                 # covers this branch at every depth too
                 return hit.branch_max, pattern.n_edges
 
-        neg_support = {}
-        for gid, parent_match in parent_neg_support.items():
-            if (match := session.first_match(pattern, session.neg_by_id[gid], parent_match)) is not None:
-                neg_support[gid] = match
-        freq_n = len(neg_support) / n_neg
+        session.stats.subiso_tests += len(parent_matches)
+        matches = first_matches(pattern, parent_matches)
+        neg_support = frozenset([g.id for g, _ in matches])
+        freq_n = len(matches) / n_neg
         s = fn.score(freq_p, freq_n)
         session.record_score(pattern, s, freq_p, freq_n)
-        entry.neg_support = frozenset(neg_support)
+        entry.neg_support = neg_support
         if on_visit:
             on_visit(pattern, parent, freq_p, freq_n, "scored")
 
@@ -295,13 +293,13 @@ def mine(
         reach = pattern.n_edges
         if pattern.n_edges < cfg.max_edges:
             for child, child_table, child_freq_p in session.children(pattern, table):
-                child_max, child_reach = visit(child, child_table, pattern, neg_support, child_freq_p)
+                child_max, child_reach = visit(child, child_table, pattern, matches, child_freq_p)
                 branch_max = max(branch_max, child_max)
                 reach = max(reach, child_reach)
         entry.finalize(branch_max, depth_complete=reach < cfg.max_edges)
         return branch_max, reach
 
-    all_negs = {g.id: Embedding((), ()) for g in session.negatives}
+    all_negs = [(g, ((), -1)) for g in session.negatives]
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -36,6 +36,9 @@ no decision depends on how either graph list is ordered.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from operator import ge
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .graphs import TemporalGraph, TemporalPattern
@@ -65,15 +68,21 @@ class ResidualSignature:
     graphs: tuple[TemporalGraph, ...]
     exact: bool = True
 
+    @cached_property
+    def _residual_columns(self) -> tuple[tuple[dict[str, int], ...], tuple[int, ...]]:
+        """Per graph, its last edge position per label and where its longest residual starts."""
+        sizes = self.sizes
+        return (tuple([g.last_label_positions() for g in self.graphs]),
+                tuple([len(g.srcs) - sizes[end - 1] for g, end in zip(self.graphs, self.ends)]))
+
     def residual_has_label(self, labels: Iterable[str]) -> bool:
         """True iff a node with one of ``labels`` touches a residual edge of some graph.
 
         Later residuals nest inside a graph's longest one, which holds a
         label iff the label's last edge position is at or after its start.
         """
-        sizes = self.sizes
-        return any(g.last_label_positions().get(lab, -1) >= len(g.srcs) - sizes[end - 1]
-                   for g, end in zip(self.graphs, self.ends) for lab in labels)
+        lasts, starts = self._residual_columns
+        return any(any(map(ge, map(dict.get, lasts, repeat(lab), repeat(-1)), starts)) for lab in labels)
 
 
 def residual_signature(table: EmbeddingTable, graphs: Sequence[TemporalGraph]) -> ResidualSignature:
@@ -222,7 +231,8 @@ def subgraph_prune_check(
             continue
         image = set(next(iter(node_maps)))
         labels = entry.pattern.labels
-        if not sig2p.residual_has_label({labels[v] for v in range(len(labels)) if v not in image}):
+        # g2's residuals equal the entry's, whose signature keeps its columns across checks
+        if not entry.sig_p.residual_has_label({labels[v] for v in range(len(labels)) if v not in image}):
             return entry
     return None
 

@@ -4,19 +4,23 @@ One engine answers every embedding question the library asks.  Pattern edges
 are bound in time order, each to a later data edge read from the tightest
 per-graph edge index the node mapping so far allows (after Mackey et al.,
 arXiv:1801.08098).  ``find_embeddings`` enumerates matches in chronological
-order, ``first_extension`` extends a known match of a pattern's first edges
-by one edge, and ``temporal_subgraph_test`` combines the two into the first
-match that decides whether a pattern occurs in a graph.  Graphs and patterns
+order, and ``temporal_subgraph_test`` returns the first one, the witness that
+a pattern occurs in a graph.  ``first_matches`` answers that question for a
+grown pattern in a batch of graphs at once: it extends the first match of the
+pattern's parent in each graph by the new edge, with one index lookup or one
+index-group walk, carrying matches as growth table entries ``(nodes, last)``,
+and searches afresh only where that match does not extend.  Graphs and patterns
 hold no self-loops (``validate`` and ``canonical_pattern`` refuse them), so an
 edge's two endpoints always bind two distinct nodes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from typing import Iterator, Optional, Sequence
 
 from .graphs import Embedding, TemporalGraph, TemporalPattern
+from .growth import Entry
 
 
 def _fitting_edges(g: TemporalGraph, plabels: Sequence[str], ps: int, pd: int, fwd: list[int],
@@ -97,28 +101,69 @@ def find_embeddings(
     return out
 
 
-def first_extension(p: TemporalPattern, g: TemporalGraph, prefix: Embedding) -> Optional[Embedding]:
-    """Earliest match of p in g extending ``prefix``, a match of p without its last edge."""
-    ps, pd = p.srcs[-1], p.dsts[-1]
-    fwd = list(prefix.nodes) + [-1] * (p.n_nodes - len(prefix.nodes))
-    after = bisect_right(g.timestamps, prefix.max_data_time) - 1
-    for pos in _fitting_edges(g, p.labels, ps, pd, fwd, after, float("inf")):
-        fwd[ps], fwd[pd] = g.srcs[pos], g.dsts[pos]
-        return Embedding(tuple(fwd), prefix.times + (g.timestamps[pos],))
-    return None
+def _first_entry(p: TemporalPattern, g: TemporalGraph) -> Optional[Entry]:
+    """First match of p in g by full search, as a growth table entry, or None."""
+    found = find_embeddings(p, g, limit=1)
+    return (found[0].nodes, bisect_left(g.timestamps, found[0].times[-1])) if found else None
 
 
-def temporal_subgraph_test(p: TemporalPattern, g: TemporalGraph,
-                           prefix: Optional[Embedding] = None) -> Optional[Embedding]:
-    """Chronologically first match of p in g (a witness that p is a temporal subgraph of g), or None.
+def first_matches(p: TemporalPattern,
+                  carried: Sequence[tuple[TemporalGraph, Entry]]) -> list[tuple[TemporalGraph, Entry]]:
+    """``(g, first match of p in g)`` for each graph of ``carried`` that holds p, in its order.
 
-    ``prefix`` is the first match in g of p minus its last edge; matches are ordered by edge
-    positions and each match of p extends a match of its prefix, so the prefix's earliest
-    extension, if any, is p's first match, and with no prefix edge there is nothing else to search.
+    ``carried`` pairs each graph holding p's parent (p without its last edge, as ``expand``
+    grows it) with the parent's first match there, as a growth table entry ``(nodes, last)``;
+    a one-edge p's parent is the empty pattern, matched by ``((), -1)``.  Matches are ordered
+    by edge positions and each match of p extends one of its parent, so the parent's earliest
+    extension, if any, is p's first match.  The last edge's shape is read once: a seed takes
+    the first edge of its label pair past ``last``, an inward edge the first edge between the
+    two mapped nodes, and a forward or backward edge the first edge at the mapped node whose
+    other end has the new node's label and is unmapped.  When the parent's first match does
+    not extend, a full search decides; for a seed there is nothing else to search.
     """
-    if prefix is not None:
-        found = first_extension(p, g, prefix)
-        if found is not None or not prefix.times:
-            return found
+    out = []
+    append = out.append
+    ps, pd = p.srcs[-1], p.dsts[-1]
+    if p.n_edges == 1:  # the parent is the empty pattern, matched before every edge
+        ls, ld = p.labels
+        for g, (_, last) in carried:
+            codes, base, lo, hi = g.label_pair_range(ls, ld, last)
+            if lo < hi:
+                pos = codes[lo] - base
+                append((g, ((g.srcs[pos], g.dsts[pos]), pos)))
+        return out
+    n = p.n_nodes
+    if max(max(p.srcs[:-1]), max(p.dsts[:-1])) + 1 == n:  # inward: both endpoints already mapped
+        for g, (nodes, last) in carried:
+            cands, base, lo, hi = g.edge_range(nodes[ps], nodes[pd], last)
+            if lo < hi:
+                append((g, (nodes, cands[lo] - base)))
+            elif (entry := _first_entry(p, g)) is not None:
+                append((g, entry))
+        return out
+    forward = pd == n - 1
+    known, label = (ps, p.labels[pd]) if forward else (pd, p.labels[ps])
+    for g, (nodes, last) in carried:
+        if forward:
+            positions, _, lo, hi = g.edge_range(nodes[known], -1, last)
+            ends = g.dsts
+        else:
+            positions, _, lo, hi = g.edge_range(-1, nodes[known], last)
+            ends = g.srcs
+        glabels = g.labels
+        for i in range(lo, hi):
+            pos = positions[i]
+            v = ends[pos]
+            if glabels[v] == label and v not in nodes:
+                append((g, (nodes + (v,), pos)))
+                break
+        else:
+            if (entry := _first_entry(p, g)) is not None:
+                append((g, entry))
+    return out
+
+
+def temporal_subgraph_test(p: TemporalPattern, g: TemporalGraph) -> Optional[Embedding]:
+    """Chronologically first match of p in g (a witness that p is a temporal subgraph of g), or None."""
     found = find_embeddings(p, g, limit=1)
     return found[0] if found else None

@@ -11,12 +11,12 @@ import pytest
 from tpmine.datakit import generate_synthetic, preset_spec, result_to_dict
 from tpmine.graphs import canonical_pattern, validate
 from tpmine import miner
-from tpmine.growth import EmbeddingTable, empty_pattern, empty_table, expand
+from tpmine.growth import EmbeddingTable, empty_pattern, empty_table, expand, table_entries
 from tpmine.matcher import find_instances
 from tpmine.miner import ConfigInvalid, EmptyDataset, MiningConfig, _Session, mine
 from tpmine.oracle import oracle_best_score, oracle_frequency
 from tpmine.scoring import GTest, InfoGain, LogRatio
-from tpmine.sequences import find_embeddings, first_extension
+from tpmine.sequences import find_embeddings, first_matches
 
 from conftest import desk_instance, embedded_pattern, random_graph, random_pattern
 
@@ -159,8 +159,8 @@ class TestTruncationSemantics:
 
         witnesses = []
 
-        def first_match(session, p, g, *parent_match):
-            witness = real(session, p, g, *parent_match)
+        def first_match(session, p, g):
+            witness = real(session, p, g)
             if session.pos_by_id.get(g.id) is g:  # the truncated re-check
                 witnesses.append(witness)
             return witness
@@ -219,9 +219,13 @@ class TestNegativeWitness:
                 continue  # the miner never tests a graph without the parent
             every = find_embeddings(child, g)
             extensions = [m for m in every if m.times[:-1] == parent_first[0].times]
-            assert first_extension(child, g, parent_first[0]) == (extensions[0] if extensions else None)
+            parent_entry = table_entries(g, parent_first)[0]
+            carried = first_matches(child, [(g, parent_entry)])
+            if extensions:
+                assert carried == [(g, table_entries(g, extensions[:1])[0])]
+            assert carried == ([(g, table_entries(g, every[:1])[0])] if every else [])
             session = _Session([g], [g], MiningConfig(), None)
-            witness = session.first_match(child, g, parent_first[0])
+            witness = session.first_match(child, g)
             assert witness == (every[0] if every else None), (child.text(), g.srcs, g.dsts, g.timestamps)
             assert session.stats.subiso_tests == 1
             cases += 1

@@ -6,9 +6,10 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpmine.graphs import Embedding, canonical_pattern, validate, verify_embedding
+from tpmine.graphs import canonical_pattern, validate, verify_embedding
 from tpmine.oracle import oracle_embeddings, oracle_subgraph_test
-from tpmine.sequences import find_embeddings, temporal_subgraph_test
+from tpmine.growth import table_entries
+from tpmine.sequences import find_embeddings, first_matches, temporal_subgraph_test
 
 from conftest import embedded_pattern, random_graph, random_pattern
 from sequence_ref import SubgraphTestOptions, encode, is_subsequence, sequence_subgraph_test
@@ -184,15 +185,59 @@ class TestTemporalSubgraphTest:
         assert sequence_subgraph_test(p, g) is None
 
 
-def _parent_first_match(p, g):
-    """First match in g of p without its last edge (the empty match for a one-edge p), or None."""
+def _parent_first_entry(p, g):
+    """First match in g of p without its last edge, as a growth table entry (the empty match
+    ``((), -1)`` for a one-edge p), or None."""
     if p.n_edges == 1:
-        return Embedding((), ())
+        return ((), -1)
     edges = list(zip(p.srcs, p.dsts, p.timestamps))[:-1]
     n_nodes = 1 + max(max(s, d) for s, d, _ in edges)
     parent = canonical_pattern(p.labels[:n_nodes], edges)
     first = find_embeddings(parent, g, limit=1)
-    return first[0] if first else None
+    return table_entries(g, first)[0] if first else None
+
+
+class TestFirstMatches:
+    def test_agrees_with_a_fresh_search_inside_mining(self, monkeypatch):
+        # Every batch the miner decides, with the default cap and with cap 1, must equal
+        # find_embeddings(p, g, limit=1) turned into an entry, per carried graph; the corpora
+        # cover all four last-edge shapes and graphs where the parent's first match does not
+        # extend, so the full-search fallback runs.
+        from tpmine import miner
+        from tpmine.miner import MiningConfig, mine
+        from conftest import desk_instance
+
+        shapes = {}
+        fallbacks = 0
+
+        def checked(p, carried):
+            nonlocal fallbacks
+            got = first_matches(p, carried)
+            want = []
+            for g, (nodes, last) in carried:
+                first = find_embeddings(p, g, limit=1)
+                if first:
+                    want.append((g, table_entries(g, first)[0]))
+                if p.n_edges > 1:
+                    parent_nodes = max(max(p.srcs[:-1]), max(p.dsts[:-1])) + 1
+                    shape = "inward" if parent_nodes == p.n_nodes else (
+                        "forward" if p.dsts[-1] == p.n_nodes - 1 else "backward")
+                else:
+                    shape = "seed"
+                shapes[shape] = shapes.get(shape, 0) + 1
+                if first and p.n_edges > 1 and first[0].nodes[:len(nodes)] != nodes:
+                    fallbacks += 1  # p occurs, but not by extending the parent's first match
+            assert got == want, p.text()
+            return got
+
+        monkeypatch.setattr(miner, "first_matches", checked)
+        for seed in range(40):
+            positives, negatives = desk_instance(seed)
+            for cap in (1, 10_000):
+                mine(positives, negatives, MiningConfig(max_edges=4, top_k=3, embedding_cap=cap,
+                                                        use_bound_prune=False))
+        assert min(shapes.get(k, 0) for k in ("seed", "forward", "backward", "inward")) > 20, shapes
+        assert fallbacks > 0
 
 
 class TestFindEmbeddings:
@@ -262,9 +307,10 @@ class TestFindEmbeddings:
             first = first[0] if first else None
             exists = first is not None
             assert temporal_subgraph_test(p, g) == first
-            prefix = _parent_first_match(p, g)
-            if prefix is not None:
-                assert temporal_subgraph_test(p, g, prefix) == first
+            parent_entry = _parent_first_entry(p, g)
+            if parent_entry is not None:
+                assert first_matches(p, [(g, parent_entry)]) == (
+                    [(g, table_entries(g, [first])[0])] if exists else [])
             assert exists == (sequence_subgraph_test(p, g) is not None)
             assert exists == (oracle_subgraph_test(p, g) is not None)
             found += exists
