@@ -5,8 +5,7 @@ extends each pattern edge by edge, maintaining the pattern's embeddings in
 the positive graphs incrementally, and its first match in each negative
 graph as a growth table entry, which ``first_matches`` extends by a child's
 new edge, for all negative graphs of one visit in one batch, before
-searching afresh.  Each
-visited pattern is scored against the negatives with the configured score
+searching afresh.  Each visited pattern is scored against the negatives with the configured score
 function; three pruning rules (the frequency upper bound, subgraph pruning,
 and supergraph pruning) can each skip a branch without affecting the maximum-score result.
 
