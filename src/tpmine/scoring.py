@@ -14,7 +14,9 @@ blacklist (temp files, caches, ...) contribute nothing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -123,10 +125,7 @@ class InterestModel:
 
     @classmethod
     def from_graphs(cls, graphs: Iterable[TemporalGraph], blacklist: Iterable[str] = ()) -> "InterestModel":
-        freq: dict[str, int] = {}
-        for g in graphs:
-            for lab in set(g.labels):
-                freq[lab] = freq.get(lab, 0) + 1
+        freq = dict(Counter(chain.from_iterable(set(g.labels) for g in graphs)))
         return cls(label_freq=freq, blacklist=frozenset(blacklist))
 
 

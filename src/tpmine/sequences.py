@@ -16,11 +16,10 @@ edge's two endpoints always bind two distinct nodes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterator, Optional, Sequence
 
 from .graphs import Embedding, TemporalGraph, TemporalPattern
-from .growth import Entry
+from .growth import Entry, table_entries
 
 
 def _fitting_edges(g: TemporalGraph, plabels: Sequence[str], ps: int, pd: int, fwd: list[int],
@@ -101,12 +100,6 @@ def find_embeddings(
     return out
 
 
-def _first_entry(p: TemporalPattern, g: TemporalGraph) -> Optional[Entry]:
-    """First match of p in g by full search, as a growth table entry, or None."""
-    found = find_embeddings(p, g, limit=1)
-    return (found[0].nodes, bisect_left(g.timestamps, found[0].times[-1])) if found else None
-
-
 def first_matches(p: TemporalPattern,
                   carried: Sequence[tuple[TemporalGraph, Entry]]) -> list[tuple[TemporalGraph, Entry]]:
     """``(g, first match of p in g)`` for each graph of ``carried`` that holds p, in its order.
@@ -138,8 +131,8 @@ def first_matches(p: TemporalPattern,
             cands, base, lo, hi = g.edge_range(nodes[ps], nodes[pd], last)
             if lo < hi:
                 append((g, (nodes, cands[lo] - base)))
-            elif (entry := _first_entry(p, g)) is not None:
-                append((g, entry))
+            elif found := table_entries(g, find_embeddings(p, g, limit=1)):
+                append((g, found[0]))
         return out
     forward = pd == n - 1
     known, label = (ps, p.labels[pd]) if forward else (pd, p.labels[ps])
@@ -158,8 +151,8 @@ def first_matches(p: TemporalPattern,
                 append((g, (nodes + (v,), pos)))
                 break
         else:
-            if (entry := _first_entry(p, g)) is not None:
-                append((g, entry))
+            if found := table_entries(g, find_embeddings(p, g, limit=1)):
+                append((g, found[0]))
     return out
 
 
