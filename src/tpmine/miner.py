@@ -267,7 +267,7 @@ def mine(
 
         session.stats.subiso_tests += len(parent_matches)
         matches = first_matches(pattern, parent_matches)
-        neg_support = frozenset([g.id for g, _ in matches])
+        neg_support = frozenset({g.id for g, _ in matches})  # from a set: a right-sized table
         freq_n = len(matches) / n_neg
         s = fn.score(freq_p, freq_n)
         session.record_score(pattern, s, freq_p, freq_n)
