@@ -59,7 +59,7 @@ g2 = canonical_pattern(["A", "B", "C"], [(0, 1, 1), (1, 2, 2)])
 
 
 def sig(p):
-    return residual_signature(EmbeddingTable({G.id: table_entries(G, find_embeddings(p, G))}), [G])
+    return residual_signature(EmbeddingTable({G: table_entries(G, find_embeddings(p, G))}), [G])
 
 
 def direct_sizes(p):

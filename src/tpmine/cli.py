@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import fields, replace
@@ -46,6 +47,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:  # written so that nan fails too
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -134,7 +142,7 @@ def _cmd_match(args) -> int:
     config = report.get("config", {})
     if not isinstance(config, dict):
         raise datakit.ParseError("report.config is not a JSON object")
-    behavior = config.get("behavior", "behavior")
+    behavior = config.get("behavior", MiningConfig.behavior)
     if not isinstance(behavior, str):
         raise datakit.ParseError("report.config.behavior is not a string")
     instances = []
@@ -308,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-embeddings", type=int, default=10_000)
     p.add_argument("--min-freq-p", type=float, default=0.0)
     p.add_argument("--blacklist", help="label blacklist file for interest ranking")
-    p.add_argument("--behavior", default="behavior")
+    p.add_argument("--behavior", default=MiningConfig.behavior)
     p.add_argument("--seed", type=int, default=0, help="recorded in the report; no effect on mining")
     p.add_argument("--tie-policy", default="reject", choices=["reject", "inputOrder"])
     p.add_argument("--out", required=True)
@@ -341,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neg", required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help="also recompute the exact maximum score (small inputs only)")
-    p.add_argument("--budget-seconds", type=float, default=120.0)
+    p.add_argument("--budget-seconds", type=_positive_seconds, default=120.0)
     p.add_argument("--tie-policy", default="reject", choices=["reject", "inputOrder"])
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -29,16 +29,16 @@ Entry = tuple[tuple[int, ...], int]
 class EmbeddingTable:
     """All known matches of one pattern, per data graph.
 
-    ``entries[graph_id]`` is a tuple of ``(nodes, last)`` pairs: ``nodes[i]``
-    is the data node pattern node i maps to, and ``last`` is the position in
-    the graph's edge list of the match's last edge (-1 for the empty
-    pattern), so the match can only grow with edges after it.  Graphs in
-    ``truncated`` hit the per-graph cap, so their tuples (and anything
-    derived from them other than plain existence) are incomplete.
+    ``entries[g]``, keyed by the graph object, is a tuple of ``(nodes,
+    last)`` pairs: ``nodes[i]`` is the data node pattern node i maps to, and
+    ``last`` is the position in g's edge list of the match's last edge (-1
+    for the empty pattern), so the match can only grow with edges after it.
+    Graphs in ``truncated`` hit the per-graph cap, so their tuples (and
+    anything derived from them other than plain existence) are incomplete.
     """
 
-    entries: dict[str, tuple[Entry, ...]]
-    truncated: frozenset[str] = frozenset()
+    entries: dict[TemporalGraph, tuple[Entry, ...]]
+    truncated: frozenset[TemporalGraph] = frozenset()
 
     @property
     def exact(self) -> bool:
@@ -54,7 +54,7 @@ def empty_pattern() -> TemporalPattern:
 
 def empty_table(graphs: Sequence[TemporalGraph]) -> EmbeddingTable:
     """The empty pattern matches every graph once, before all of its edges."""
-    return EmbeddingTable({g.id: (((), -1),) for g in graphs})
+    return EmbeddingTable({g: (((), -1),) for g in graphs})
 
 
 def table_entries(g: TemporalGraph, matches: Iterable[Embedding]) -> tuple[Entry, ...]:
@@ -83,10 +83,10 @@ def expand(
     order: the new edge takes timestamp |E|+1 and a new node the next free
     index, its first-visit position, so every child is in canonical form.
     """
-    entries: dict[tuple, dict[str, tuple[Entry, ...]]] = {}
-    truncated: dict[tuple, set[str]] = {}
+    entries: dict[tuple, dict[TemporalGraph, tuple[Entry, ...]]] = {}
+    truncated: dict[tuple, set[TemporalGraph]] = {}
     for g in graphs:
-        parents = table.entries.get(g.id)
+        parents = table.entries.get(g)
         if not parents:
             continue
         labels, srcs, dsts = g.labels, g.srcs, g.dsts
@@ -125,9 +125,9 @@ def expand(
                         out.append(child)
         for key, out in kids.items():
             if len(out) > cap:
-                truncated.setdefault(key, set()).add(g.id)
+                truncated.setdefault(key, set()).add(g)
                 del out[cap:]
-            entries.setdefault(key, {})[g.id] = tuple(out)
+            entries.setdefault(key, {})[g] = tuple(out)
     n, t = pattern.n_nodes, pattern.n_edges + 1
     result: dict[TemporalPattern, EmbeddingTable] = {}
     for key in sorted(entries):

@@ -22,7 +22,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Embedding, TemporalGraph, TemporalPattern
 from .growth import EmbeddingTable, Entry, empty_pattern, empty_table, expand, table_entries
@@ -63,7 +63,7 @@ class MiningConfig:
     embedding_cap: int = 10_000
     min_freq_p: float = 0.0
     blacklist: frozenset[str] = frozenset()
-    behavior: str = "behavior"
+    behavior: str = "planted"
     seed: int = 0
 
     def validated(self) -> "MiningConfig":
@@ -127,7 +127,6 @@ class _Session:
     def __init__(self, positives, negatives, cfg: MiningConfig, on_visit: Optional[VisitHook]):
         self.positives: list[TemporalGraph] = list(positives)
         self.negatives: list[TemporalGraph] = list(negatives)
-        self.pos_by_id = {g.id: g for g in self.positives}
         self.cfg = cfg
         self.on_visit = on_visit
         self.stats = MiningStats()
@@ -160,12 +159,11 @@ class _Session:
         with a first-match search and a found witness is kept.  ``expand``
         stores no empty tuple, so every graph in the table supports it.
         """
-        for gid in table.truncated:
-            if gid not in table.entries:
-                g = self.pos_by_id[gid]
+        for g in table.truncated:
+            if g not in table.entries:
                 witness = self.first_match(pattern, g)
                 if witness is not None:
-                    table.entries[gid] = table_entries(g, [witness])
+                    table.entries[g] = table_entries(g, [witness])
         return len(table.entries)
 
     def children(self, pattern: TemporalPattern, table: EmbeddingTable) -> Iterator[tuple]:
@@ -181,22 +179,17 @@ class _Session:
                 yield child, child_table, freq_p
 
     def neg_signature(self, pattern: TemporalPattern,
-                      support: Optional[Collection[str]] = None) -> ResidualSignature:
-        """Full negative-side signature over the negative graphs whose ids are in ``support``, or
-        that hold the pattern by a first-match test when it is None; enumerated on demand, and in
-        the order of the negative set whatever the order of ``support``."""
-        if support is None:
-            support = {g.id for g in self.negatives if self.first_match(pattern, g) is not None}
+                      graphs: Optional[Sequence[TemporalGraph]] = None) -> ResidualSignature:
+        """Full negative-side signature over ``graphs``, the negative graphs holding the pattern in
+        the negative set's order, or over every negative graph, one search each, when it is None;
+        enumerated on demand."""
+        if graphs is None:
+            graphs = self.negatives
+            self.stats.subiso_tests += len(graphs)
         cap = self.cfg.embedding_cap
-        entries = {}
-        truncated = set()
-        for g in self.negatives:
-            if g.id in support:
-                embs = find_embeddings(pattern, g, limit=cap)
-                if len(embs) >= cap:
-                    truncated.add(g.id)
-                entries[g.id] = table_entries(g, embs)
-        return residual_signature(EmbeddingTable(entries, frozenset(truncated)), self.negatives)
+        entries = {g: table_entries(g, find_embeddings(pattern, g, limit=cap)) for g in graphs}
+        truncated = frozenset([g for g, found in entries.items() if len(found) >= cap])
+        return residual_signature(EmbeddingTable(entries, truncated), graphs)
 
 
 def mine(
@@ -267,16 +260,16 @@ def mine(
 
         session.stats.subiso_tests += len(parent_matches)
         matches = first_matches(pattern, parent_matches)
-        neg_support = frozenset({g.id for g, _ in matches})  # from a set: a right-sized table
+        neg_graphs = tuple([g for g, _ in matches])
         freq_n = len(matches) / n_neg
         s = fn.score(freq_p, freq_n)
         session.record_score(pattern, s, freq_p, freq_n)
-        entry.neg_support = neg_support
+        entry.neg_graphs = neg_graphs
         if on_visit:
             on_visit(pattern, parent, freq_p, freq_n, "scored")
 
         if cfg.use_supergraph_prune:
-            hit = supergraph_prune_check(pattern, sig_p, neg_support, session.registry, session.fstar(),
+            hit = supergraph_prune_check(pattern, sig_p, neg_graphs, session.registry, session.fstar(),
                                          session.neg_signature)
             if hit is not None:
                 session.stats.supergraph_prune_fires += 1
@@ -309,9 +302,7 @@ def mine(
         if gc_was_enabled:
             gc.enable()
 
-    model = InterestModel.from_graphs(
-        list(session.positives) + list(session.negatives), cfg.blacklist
-    )
+    model = InterestModel.from_graphs(session.positives + session.negatives, cfg.blacklist)
     ranked = rank(session.scored, model, cfg.top_k)
     max_score = max((s for _, s, _, _ in session.scored), default=float("-inf"))
     maximizer_entries = [e for e in session.scored if abs(e[1] - max_score) <= 1e-12]

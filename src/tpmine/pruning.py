@@ -28,9 +28,9 @@ pattern proves it cannot reach the current score threshold:
 Both rules walk one candidate list, ``PatternRegistry.equivalent``: entries
 whose subtree finished (an entry is added at visit and finalizes itself with
 its branch maximum at subtree exit, so "largest score in the branch" is well
-defined) below the threshold, with equivalent positive residuals.  Negative
-signatures list graphs in the order of the negative set for every pattern, so
-no decision depends on how either graph list is ordered.
+defined) below the threshold, with equivalent positive residuals.  A
+signature holds the graphs themselves, in the order of their graph set for
+every pattern, so no decision depends on how either graph list is ordered.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import ge
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import TemporalGraph, TemporalPattern
 from .growth import EmbeddingTable
@@ -52,8 +52,8 @@ class ResidualSignature:
     """Aggregated residual structure of a pattern over one graph set, in flat columns.
 
     ``i_value`` sums residual sizes over every embedding of every graph.
-    ``ids`` names each graph holding an embedding, and ``graphs`` holds those
-    graphs; ``sizes`` concatenates each one's sorted residual sizes, and
+    ``graphs`` holds each graph with an embedding, in the order of the graph
+    list; ``sizes`` concatenates each one's sorted residual sizes, and
     ``ends[j]`` is where graph j's sizes end, so its longest residual starts
     at edge position ``len(graphs[j].srcs) - sizes[ends[j] - 1]``, which is
     all the surplus-label test reads.  ``exact`` is False when any embedding
@@ -62,7 +62,6 @@ class ResidualSignature:
     """
 
     i_value: int
-    ids: tuple[str, ...]
     sizes: tuple[int, ...]
     ends: tuple[int, ...]
     graphs: tuple[TemporalGraph, ...]
@@ -90,13 +89,12 @@ def residual_signature(table: EmbeddingTable, graphs: Sequence[TemporalGraph]) -
 
     Most graphs hold one match, whose residual is read without sorting.
     """
-    ids: list[str] = []
     sizes: list[int] = []
     ends: list[int] = []
     kept: list[TemporalGraph] = []
     entries = table.entries
     for g in graphs:
-        embs = entries.get(g.id)
+        embs = entries.get(g)
         if not embs:
             continue
         n = len(g.srcs)
@@ -104,19 +102,18 @@ def residual_signature(table: EmbeddingTable, graphs: Sequence[TemporalGraph]) -
             sizes.append(n - 1 - embs[0][1])
         else:
             sizes += sorted([n - 1 - last for _, last in embs])
-        ids.append(g.id)
         ends.append(len(sizes))
         kept.append(g)
-    return ResidualSignature(sum(sizes), tuple(ids), tuple(sizes), tuple(ends), tuple(kept), table.exact)
+    return ResidualSignature(sum(sizes), tuple(sizes), tuple(ends), tuple(kept), table.exact)
 
 
 def signatures_equivalent(a: ResidualSignature, b: ResidualSignature) -> bool:
-    """Residual equivalence: equal per-graph residual-size multisets.
+    """Residual equivalence: equal per-graph residual-size multisets over the same graphs.
 
     The integers are compared first, a constant-time necessary condition;
     the multisets are the property the pruning correctness arguments use.
     """
-    return a.i_value == b.i_value and a.sizes == b.sizes and a.ends == b.ends and a.ids == b.ids
+    return a.i_value == b.i_value and a.sizes == b.sizes and a.ends == b.ends and a.graphs == b.graphs
 
 
 def score_upper_bound(fn: ScoreFunction, freq_p: float) -> float:
@@ -128,12 +125,13 @@ def score_upper_bound(fn: ScoreFunction, freq_p: float) -> float:
 
 @dataclass
 class RegistryEntry:
-    """An explored pattern; ``branch_max`` is None until its subtree finishes, and ``sig_n``
-    until the supergraph rule first reads it."""
+    """An explored pattern; ``neg_graphs`` is None until it is scored, then the negative graphs
+    holding it, ``branch_max`` is None until its subtree finishes, and ``sig_n`` until the
+    supergraph rule first reads it."""
 
     pattern: TemporalPattern
     sig_p: ResidualSignature
-    neg_support: Optional[frozenset[str]] = None
+    neg_graphs: Optional[tuple[TemporalGraph, ...]] = None
     sig_n: Optional[ResidualSignature] = None
     branch_max: Optional[float] = None
     depth_complete: bool = False
@@ -240,23 +238,23 @@ def subgraph_prune_check(
 def supergraph_prune_check(
     g2: TemporalPattern,
     sig2p: ResidualSignature,
-    neg_support: Collection[str],
+    neg_graphs: Sequence[TemporalGraph],
     registry: PatternRegistry,
     fstar: float,
-    neg_signature: Callable[[TemporalPattern, Optional[Collection[str]]], ResidualSignature],
+    neg_signature: Callable[[TemporalPattern, Optional[Sequence[TemporalGraph]]], ResidualSignature],
 ) -> Optional[RegistryEntry]:
     """Mirror rule: g2 extends an explored pattern without changing residuals.
 
     Fires on a finished entry g1 with branch maximum below fstar such that
     g1 is a temporal subgraph of g2 (``temporal_subgraph_test`` finds a
     first match), node counts match, and both positive and negative
-    residuals are equivalent.  ``neg_signature(pattern, support)`` builds a
-    negative signature over the graphs in ``support`` (found by first-match
-    tests when None) only when needed: first for the candidate, cached on
-    the entry, then once for g2, because negative-side enumeration is the
-    expensive part.  Entries that are ancestors of g2 are never finished
-    while g2 is open, so a pattern can never be pruned against its own
-    growth path.
+    residuals are equivalent.  ``neg_signature(pattern, graphs)`` builds a
+    negative signature over ``graphs``, the negative graphs holding the
+    pattern (every negative graph when None), only when needed: first for
+    the candidate, over its ``neg_graphs`` and cached on the entry, then
+    once for g2, because negative-side enumeration is the expensive part.
+    Entries that are ancestors of g2 are never finished while g2 is open, so
+    a pattern can never be pruned against its own growth path.
     """
     g2_labels = g2.label_multiset()
 
@@ -269,11 +267,11 @@ def supergraph_prune_check(
         if temporal_subgraph_test(entry.pattern, g2) is None:
             continue
         if entry.sig_n is None:
-            entry.sig_n = neg_signature(entry.pattern, entry.neg_support)
+            entry.sig_n = neg_signature(entry.pattern, entry.neg_graphs)
         if not entry.sig_n.exact:
             continue
         if sig2n is None:
-            sig2n = neg_signature(g2, neg_support)
+            sig2n = neg_signature(g2, neg_graphs)
         if not sig2n.exact:
             return None
         registry.residual_tests += 1

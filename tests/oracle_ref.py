@@ -62,9 +62,9 @@ def oracle_children(
     key.  Per child and graph the first ``cap`` matches are kept and the
     graph is flagged truncated; every child inherits p's truncated graphs.
     """
-    found: dict[tuple, tuple[TemporalPattern, dict[str, list[Embedding]]]] = {}
+    found: dict[tuple, tuple[TemporalPattern, dict[TemporalGraph, list[Embedding]]]] = {}
     for g in graphs:
-        matches = oracle_embeddings(p, g, budget) if table is None else table.entries.get(g.id, ())
+        matches = oracle_embeddings(p, g, budget) if table is None else table.entries.get(g, ())
         for emb in matches:
             image = set(emb.nodes)
             for pos in range(bisect_right(g.timestamps, emb.max_data_time), g.n_edges):
@@ -76,10 +76,10 @@ def oracle_children(
                 edges = list(zip(p.srcs, p.dsts, p.timestamps)) + [(index[src], index[dst], p.n_edges + 1)]
                 child = canonical_pattern([g.labels[v] for v in nodes], edges)
                 _, per_graph = found.setdefault(child.key(), (child, {}))
-                per_graph.setdefault(g.id, []).append(Embedding(nodes, emb.times + (g.timestamps[pos],)))
+                per_graph.setdefault(g, []).append(Embedding(nodes, emb.times + (g.timestamps[pos],)))
     out: dict[TemporalPattern, EmbeddingTable] = {}
     for child, per_graph in found.values():
         truncated = set(table.truncated) if table is not None else set()
-        truncated.update(gid for gid, embs in per_graph.items() if len(embs) > cap)
-        out[child] = EmbeddingTable({gid: embs[:cap] for gid, embs in per_graph.items()}, frozenset(truncated))
+        truncated.update(g for g, embs in per_graph.items() if len(embs) > cap)
+        out[child] = EmbeddingTable({g: embs[:cap] for g, embs in per_graph.items()}, frozenset(truncated))
     return out

@@ -201,7 +201,7 @@ def test_residual_signature_integer_equivalence():
         )
 
         def int_sig(p):
-            table = EmbeddingTable({g.id: table_entries(g, find_embeddings(p, g)) for g in graphs})
+            table = EmbeddingTable({g: table_entries(g, find_embeddings(p, g)) for g in graphs})
             return residual_signature(table, graphs).i_value
 
         int_equal = int_sig(g1) == int_sig(g2)

@@ -497,6 +497,18 @@ def test_non_positive_limit_is_usage_error(workspace, tmp_path, capsys, limit):
     assert not (tmp_path / "instances.json").exists()
 
 
+@pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1"])
+def test_unusable_verify_budget_is_usage_error(workspace, capsys, seconds):
+    # nan and inf would switch the oracle's wall-time budget off; 0 and -1 would spend it at once.
+    data = workspace / "data"
+    capsys.readouterr()
+    code = main(["verify", "--report", str(workspace / "report.json"), "--pos", str(data / "pos.tg"),
+                 "--neg", str(data / "neg.tg"), "--budget-seconds", seconds])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("usage:") and "--budget-seconds: must be positive and finite" in err, err
+
+
 @pytest.mark.parametrize("flags, phrase", [
     (["--score", "gtest", "--gtest-scale", "-5"], "gtest scale"),
     (["--score", "gtest", "--gtest-scale", "nan"], "gtest scale"),
@@ -754,7 +766,25 @@ def test_match_without_config_keeps_default_behavior(workspace, tmp_path):
     assert main(["match", "--queries", str(report), "--graph", str(data / "test.tg"),
                  "--out", str(instances)]) == 0
     found = json.loads(instances.read_text())["instances"]
-    assert found and {item["behavior"] for item in found} == {"behavior"}
+    assert found and {item["behavior"] for item in found} == {MiningConfig.behavior}
+
+
+def test_default_behavior_names_score_end_to_end(tmp_path, capsys):
+    # gen, mine, match and eval with no behaviour name given agree on one name, so the planted
+    # behaviour's instances are scored against its truth lines.
+    data, report, instances, summary = (tmp_path / name for name in ("data", "r.json", "i.json", "e.json"))
+    assert main(["gen", "--preset", "small", "--seed", "3", "--out", str(data)]) == 0
+    assert main(["mine", "--pos", str(data / "pos.tg"), "--neg", str(data / "neg.tg"),
+                 "--max-edges", "3", "--out", str(report)]) == 0
+    assert main(["match", "--queries", str(report), "--graph", str(data / "test.tg"),
+                 "--out", str(instances)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--instances", str(instances), "--truth", str(data / "truth.txt"),
+                 "--out", str(summary)]) == 0
+    err = capsys.readouterr().err
+    assert "warning" not in err, err
+    doc = json.loads(summary.read_text())
+    assert doc["precision"] > 0 and doc["recall"] > 0, doc
 
 
 @pytest.mark.parametrize("path, value, exhaustive, phrase", [

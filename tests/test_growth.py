@@ -31,11 +31,10 @@ def shape(p):
     return p.labels, p.srcs, p.dsts, p.timestamps
 
 
-def as_entries(table, graphs):
+def as_entries(table):
     """A reference table's Embeddings as (nodes, position of the last edge) entries."""
-    by_id = {g.id: g for g in graphs}
-    return {gid: tuple((m.nodes, by_id[gid].timestamps.index(m.times[-1])) for m in embs)
-            for gid, embs in table.entries.items()}
+    return {g: tuple((m.nodes, g.timestamps.index(m.times[-1])) for m in embs)
+            for g, embs in table.entries.items()}
 
 
 def children(p, table, ref_table, graphs, cap=10_000):
@@ -52,7 +51,7 @@ def children(p, table, ref_table, graphs, cap=10_000):
     for child, t in fast.items():
         ref_child, ref_t = ref[child.key()]
         assert shape(child) == shape(ref_child)
-        assert t.entries == as_entries(ref_t, graphs)
+        assert t.entries == as_entries(ref_t)
         assert t.truncated == ref_t.truncated
         out.append((child, t, ref_t))
     return out
@@ -80,7 +79,7 @@ class TestEnumerateExtensions:
             (("A", "B"), (0,), (1,), (1,)),
             (("B", "C"), (0,), (1,), (1,)),
         ]
-        assert kids[0][1].entries == {"g": (((0, 1), 0), ((3, 1), 2))}
+        assert kids[0][1].entries == {g: (((0, 1), 0), ((3, 1), 2))}
 
     def test_forward_extension_from_embedding(self):
         g = chain_graph()
@@ -90,7 +89,7 @@ class TestEnumerateExtensions:
         g = validate("g", ["A", "B"], [(0, 1, 1), (0, 1, 5)])
         (child, t, _), = children(*seed(g), [g])
         assert shape(child) == (("A", "B"), (0, 0), (1, 1), (1, 2))
-        assert t.entries == {"g": (((0, 1), 1),)}
+        assert t.entries == {g: (((0, 1), 1),)}
 
     def test_backward_extension(self):
         g = validate("g", ["A", "B", "C"], [(0, 1, 1), (2, 0, 2)])
@@ -100,8 +99,8 @@ class TestEnumerateExtensions:
         # The match uses the final edge, so nothing is left to grow with.
         g = validate("g", ["A", "B", "C"], [(1, 2, 1), (0, 1, 9)])
         p, t, ref_t = seed(g)
-        assert t.entries == {"g": (((0, 1), 1),)}
-        assert ref_t.entries["g"][0].max_data_time == 9
+        assert t.entries == {g: (((0, 1), 1),)}
+        assert ref_t.entries[g][0].max_data_time == 9
         assert grown_shapes(p, t, ref_t, g) == []
 
 
@@ -139,13 +138,14 @@ class TestExtendEmbeddings:
 
     def test_no_realizing_edge_gives_empty_table(self):
         # A graph with no edge realizing a child gets no entry for it, not an empty one.
-        graphs = [chain_graph(), validate("ab", ["A", "B"], [(0, 1, 1)])]
+        chain, ab_graph = chain_graph(), validate("ab", ["A", "B"], [(0, 1, 1)])
+        graphs = [chain, ab_graph]
         (ab, table), = ((p, t) for p, t in oracle_children(empty_pattern(), None, graphs).items()
                         if p.labels == ("A", "B"))
-        assert set(table.entries) == {"chain", "ab"}
+        assert set(table.entries) == {chain, ab_graph}
         (abc, child), = oracle_children(ab, table, graphs).items()
         assert shape(abc) == (("A", "B", "C"), (0, 1), (1, 2), (1, 2))
-        assert set(child.entries) == {"chain"}
+        assert set(child.entries) == {chain}
 
     def test_children_verify_against_grown_pattern(self):
         rng = random.Random(8)
@@ -156,7 +156,7 @@ class TestExtendEmbeddings:
                 if not kids:
                     break
                 p, table = rng.choice(list(kids.items()))
-                for emb in table.entries[g.id]:
+                for emb in table.entries[g]:
                     assert verify_embedding(p, g, emb)
                 kids = oracle_children(p, table, [g])
 
@@ -172,18 +172,18 @@ class TestExtendEmbeddings:
                     break
                 p, table = rng.choice(list(kids.items()))
             else:
-                assert table.entries[g.id] == oracle_embeddings(p, g)
+                assert table.entries[g] == oracle_embeddings(p, g)
                 checked += 1
 
     def test_truncation_flag(self):
         g = validate("g", ["A", "B"], [(0, 1, 1), (0, 1, 2), (0, 1, 3)])
         (p, table), = oracle_children(empty_pattern(), None, [g], cap=2).items()
-        assert len(table.entries["g"]) == 2
-        assert "g" in table.truncated
+        assert len(table.entries[g]) == 2
+        assert g in table.truncated
         assert not table.exact
         # truncation is inherited by children
         (_, child), = oracle_children(p, table, [g], cap=100).items()
-        assert "g" in child.truncated
+        assert g in child.truncated
 
 
 def growth_step(parent, child):
@@ -215,10 +215,10 @@ class TestExpand:
     def test_cap_matches_per_extension_api(self):
         g = validate("g", ["A", "B"], [(0, 1, 1), (0, 1, 2), (0, 1, 3), (0, 1, 4)])
         (p, table, ref_table), = children(empty_pattern(), empty_table([g]), None, [g], cap=2)
-        assert table.entries == {"g": (((0, 1), 0), ((0, 1), 1))}
-        assert table.truncated == frozenset({"g"})
+        assert table.entries == {g: (((0, 1), 0), ((0, 1), 1))}
+        assert table.truncated == frozenset({g})
         (_, child, _), = children(p, table, ref_table, [g], cap=2)
-        assert child.truncated == frozenset({"g"})
+        assert child.truncated == frozenset({g})
 
     @pytest.mark.parametrize("cap", [1, 2, 10_000])
     def test_seed_tables_match_per_extension_api(self, cap):

@@ -161,7 +161,7 @@ class TestTruncationSemantics:
 
         def first_match(session, p, g):
             witness = real(session, p, g)
-            if session.pos_by_id.get(g.id) is g:  # the truncated re-check
+            if g in session.positives:  # the truncated re-check
                 witnesses.append(witness)
             return witness
 

@@ -13,7 +13,7 @@ from tpmine.datakit import generate_synthetic, preset_spec, result_to_dict
 from tpmine.graphs import canonical_pattern, validate
 from tpmine.growth import EmbeddingTable, empty_table, table_entries
 from tpmine.miner import MiningConfig, mine
-from tpmine.oracle import oracle_best_score, oracle_embeddings
+from tpmine.oracle import oracle_best_score, oracle_embeddings, oracle_subgraph_test
 from tpmine.pruning import (
     PatternRegistry,
     ResidualSignature,
@@ -33,13 +33,13 @@ INF = float("inf")
 
 
 def sig_of(p, graphs) -> ResidualSignature:
-    table = EmbeddingTable({g.id: table_entries(g, find_embeddings(p, g)) for g in graphs})
+    table = EmbeddingTable({g: table_entries(g, find_embeddings(p, g)) for g in graphs})
     return residual_signature(table, graphs)
 
 
 def neg_signature_over(neg):
-    """A ``neg_signature`` callback over ``neg`` that finds each pattern's support itself."""
-    return lambda p, support=None: sig_of(p, neg)
+    """A ``neg_signature`` callback over ``neg`` that finds each pattern's graphs itself."""
+    return lambda p, graphs=None: sig_of(p, neg)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,7 +54,7 @@ class ResidualView:
 
 def profile(sig: ResidualSignature) -> tuple:
     """The per-graph (graph id, sorted residual sizes) pairs the signature's columns hold."""
-    return tuple((gid, sig.sizes[lo:hi]) for gid, lo, hi in zip(sig.ids, (0,) + sig.ends, sig.ends))
+    return tuple((g.id, sig.sizes[lo:hi]) for g, lo, hi in zip(sig.graphs, (0,) + sig.ends, sig.ends))
 
 
 def label_union(sig: ResidualSignature) -> frozenset:
@@ -77,14 +77,14 @@ class TestResidualSignature:
         assert g.n_edges == 12
         sig = residual_signature(empty_table([g]), [g])
         assert sig.i_value == 12
-        assert (sig.ids, sig.sizes, sig.ends, sig.graphs) == (("g",), (12,), (1,), (g,))
+        assert (sig.sizes, sig.ends, sig.graphs) == ((12,), (1,), (g,))
 
     def test_match_on_final_edge_contributes_zero(self):
         g = validate("g", ["A", "B", "C"], [(0, 1, 1), (1, 2, 2)])
         p = canonical_pattern(["B", "C"], [(0, 1, 1)])
         sig = sig_of(p, [g])
         assert sig.i_value == 0
-        assert (sig.ids, sig.sizes, sig.ends, sig.graphs) == (("g",), (0,), (1,), (g,))
+        assert (sig.sizes, sig.ends, sig.graphs) == ((0,), (1,), (g,))
 
     def test_matches_oracle_recount(self):
         rng = random.Random(2)
@@ -109,7 +109,7 @@ class TestResidualSignature:
         g1 = validate("g1", ["C", "D"], [(0, 1, 1)])
         g2 = validate("g2", ["A", "B", "C"], [(0, 1, 1), (1, 2, 2)])
         sig = sig_of(canonical_pattern(["A", "B"], [(0, 1, 1)]), [g0, g1, g2])
-        assert (sig.ids, sig.sizes, sig.ends, sig.graphs) == (("g0", "g2"), (0, 1, 2, 1), (3, 4), (g0, g2))
+        assert (sig.sizes, sig.ends, sig.graphs) == ((0, 1, 2, 1), (3, 4), (g0, g2))
         assert sig.i_value == 4
         assert profile(sig) == (("g0", (0, 1, 2)), ("g2", (1,)))
 
@@ -147,13 +147,13 @@ class TestResidualSignature:
             p = embedded_pattern(rng, graphs[0], max_edges=3)
             if p is None:
                 continue
-            matches = {g.id: find_embeddings(p, g) for g in graphs}
-            table = EmbeddingTable({g.id: table_entries(g, matches[g.id]) for g in graphs})
+            matches = {g: find_embeddings(p, g) for g in graphs}
+            table = EmbeddingTable({g: table_entries(g, matches[g]) for g in graphs})
             sig = residual_signature(table, graphs)
             union = set()
             for g in graphs:
-                if table.entries[g.id]:
-                    cutoff = min(e.max_data_time for e in matches[g.id])
+                if table.entries[g]:
+                    cutoff = min(e.max_data_time for e in matches[g])
                     union |= {g.labels[v] for s, d, t in zip(g.srcs, g.dsts, g.timestamps)
                               if t > cutoff for v in (s, d)}
             assert label_union(sig) == union
@@ -167,7 +167,7 @@ class TestResidualSignature:
     def test_inexact_when_truncated(self):
         g = validate("g", ["A", "B"], [(0, 1, 1), (0, 1, 2)])
         matches = find_embeddings(canonical_pattern(["A", "B"], [(0, 1, 1)]), g)
-        table = EmbeddingTable({"g": table_entries(g, matches)}, truncated=frozenset({"g"}))
+        table = EmbeddingTable({g: table_entries(g, matches)}, truncated=frozenset({g}))
         assert not residual_signature(table, [g]).exact
 
 
@@ -344,9 +344,9 @@ class TestSupergraphPruneCheck:
         g2 = canonical_pattern(["B", "A"], [(0, 1, 1), (1, 0, 2)])  # B->A then A->B
         registry = PatternRegistry()
         entry = registry.add(g1, sig_of(g1, pos))
-        entry.neg_support = frozenset({"n0"})
+        entry.neg_graphs = tuple(neg)
         entry.finalize(branch_max=0.0)
-        hit = supergraph_prune_check(g2, sig_of(g2, pos), {"n0"}, registry, fstar=10.0,
+        hit = supergraph_prune_check(g2, sig_of(g2, pos), tuple(neg), registry, fstar=10.0,
                                      neg_signature=neg_signature_over(neg))
         assert hit is entry
 
@@ -369,9 +369,9 @@ class TestSupergraphPruneCheck:
         assert profile(s1) != profile(s2)
         registry = PatternRegistry()
         entry = registry.add(g1, s1)
-        entry.neg_support = frozenset()
+        entry.neg_graphs = ()
         entry.finalize(branch_max=0.0)
-        common = dict(neg_support=(), registry=registry, fstar=10.0, neg_signature=neg_signature_over(neg))
+        common = dict(neg_graphs=(), registry=registry, fstar=10.0, neg_signature=neg_signature_over(neg))
         assert supergraph_prune_check(g2, s2, **common) is None
         entry.sig_p = s2  # equal profiles: the same entry now certifies
         assert supergraph_prune_check(g2, s2, **common) is entry
@@ -392,7 +392,7 @@ class TestSupergraphPruneCheck:
         assert not find_embeddings(g1, g2)
         registry = PatternRegistry()
         entry = registry.add(g1, s1)
-        entry.neg_support = frozenset()
+        entry.neg_graphs = ()
         entry.finalize(branch_max=0.0)
         hit = supergraph_prune_check(g2, s2, (), registry, fstar=10.0, neg_signature=neg_signature_over(neg))
         assert hit is None
@@ -520,6 +520,48 @@ class TestGraphOrder:
             assert report(mine(positives, negatives, cfg)) == report(result), seed
             fired += result.stats.supergraph_prune_fires > 0
         assert fired >= 5
+
+
+    @pytest.mark.parametrize("cap", [1, MiningConfig.embedding_cap])
+    def test_negative_graphs_follow_the_shuffled_negative_list(self, monkeypatch, cap):
+        # A scored entry's negative graphs, and a negative signature's graphs, are exactly the
+        # negatives holding the pattern, in the order of the negative list as given: the signatures
+        # the supergraph rule builds while mining, and one over every negative graph per entry.
+        added, signed = [], []
+
+        class RecordingRegistry(PatternRegistry):
+            def add(self, pattern, sig_p):
+                added.append(super().add(pattern, sig_p))
+                return added[-1]
+
+        def neg_signature(session, pattern, graphs=None):
+            signed.append((pattern, real(session, pattern, graphs)))
+            return signed[-1][1]
+
+        real = miner._Session.neg_signature
+        monkeypatch.setattr(miner, "PatternRegistry", RecordingRegistry)
+        monkeypatch.setattr(miner._Session, "neg_signature", neg_signature)
+        rng = random.Random(26)
+        cfg = MiningConfig(max_edges=4, top_k=3, embedding_cap=cap)
+        scored = in_search = 0
+        for seed in range(400):
+            positives, negatives = desk_instance(seed)
+            rng.shuffle(negatives)
+            del added[:], signed[:]
+            mine(positives, negatives, cfg)
+            in_search += len(signed)
+            session = miner._Session(positives, negatives, cfg, None)
+            holding = {}
+            for entry in added:
+                want = holding[entry.pattern.key()] = tuple(
+                    g for g in negatives if oracle_subgraph_test(entry.pattern, g) is not None)
+                if entry.neg_graphs is not None:
+                    assert entry.neg_graphs == want, seed
+                    scored += 1
+                signed.append((entry.pattern, real(session, entry.pattern)))
+            for pattern, sig in signed:
+                assert sig.graphs == holding[pattern.key()], seed
+        assert scored > 10_000 and in_search > 20, (scored, in_search)
 
 
 class TestFinalizedEntries:
